@@ -7,8 +7,10 @@ and softmax cross-entropy. Nothing more.
 
 Every op runs in float64. A ``Tape`` records the ops of one forward pass;
 ``Tape.backward`` replays the record once in reverse and accumulates
-adjoints into each participating tensor's ``grad``. Repeated backward
-calls without resetting grads keep accumulating, as an optimizer expects.
+adjoints into the ``grad`` of each leaf: a participating tensor that no op
+of the tape produced (parameters and inputs). Intermediates keep
+``grad is None``. Repeated backward calls without resetting grads keep
+accumulating, as an optimizer expects.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def accumulate_grad(self, delta: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += delta
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -78,11 +75,15 @@ class Tape:
             self._records.append((out, pull))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor on the tape.
+        """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf ``t``.
 
-        The sweep works on a private adjoint map and only folds the final
-        adjoints into ``grad`` at the end, so calling backward twice adds
-        the same gradient twice rather than compounding.
+        A leaf is a tensor the loss depends on that no op of this tape
+        produced. The sweep works on a private adjoint map. An
+        intermediate's adjoint is dropped as soon as the op that produced
+        it has pulled it back, so the sweep holds the adjoints of the
+        live frontier rather than of the whole tape. The leaves' adjoints
+        are folded into ``grad`` at the end, so calling backward twice
+        adds the same gradient twice rather than compounding.
         """
         if loss.data.size != 1:
             raise ContractError(
@@ -102,10 +103,10 @@ class Tape:
                 holders[key] = t
 
         for out, pull in reversed(self._records):
-            g = adjoints.get(id(out))
+            g = adjoints.pop(id(out), None)
             if g is not None:
                 pull(g, accum)
-        for key, g in adjoints.items():
+        for key, g in adjoints.items():  # only leaves are left
             holder = holders[key]
             if holder.grad is None:
                 holder.grad = g  # the map owns g; donate instead of copying

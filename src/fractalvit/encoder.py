@@ -54,6 +54,8 @@ class EncoderConfig:
                 "scheme 'none' with policy 'summary' makes summary tokens "
                 "indistinguishable"
             )
+        if self.n_heads < 1:
+            raise ConfigError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d < 1 or self.d % self.n_heads != 0:
             raise ConfigError(
                 f"d={self.d} must be a positive multiple of n_heads={self.n_heads}"
@@ -246,21 +248,15 @@ def assemble_tokens(regular: Tensor, params: EncoderParams, tape: Tape) -> Tenso
 
 
 def attention_block(x: Tensor, layer: int, params: EncoderParams,
-                    tape: Tape, bits: np.ndarray | None = None,
-                    alibi: np.ndarray | None = None) -> Tensor:
-    """Pre-norm block: x + MHA(LN(x)), then + MLP(LN(.)).
-
-    ``bits``/``alibi`` default to the params' own tables; the batched
-    forward passes block-diagonal tilings instead.
-    """
+                    tape: Tape) -> Tensor:
+    """Pre-norm block on one sequence: x + MHA(LN(x)), then + MLP(LN(.)),
+    with the params' mask and ALiBi tables."""
     cfg = params.config
     p = f"layer{layer}."
     d, n_heads = cfg.d, cfg.n_heads
     dh = d // n_heads
-    if bits is None:
-        bits = params.mask.bits
-    if alibi is None:
-        alibi = params.alibi
+    bits = params.mask.bits
+    alibi = params.alibi
 
     h = tape.layer_norm(x, params.t(p + "ln1_gain"), params.t(p + "ln1_shift"))
     q = tape.linear(h, params.t(p + "wq"))
@@ -385,7 +381,7 @@ def forward_batch(images, config: EncoderConfig, params: EncoderParams,
 
 def batch_loss(images, labels, config: EncoderConfig, params: EncoderParams,
                tape: Tape) -> Tensor:
-    """Mean cross-entropy over a batch, via the block-diagonal forward."""
+    """Mean cross-entropy over a batch, via the stacked forward."""
     logits = forward_batch(images, config, params, tape)
     return tape.softmax_cross_entropy_rows(logits, labels)
 
@@ -412,28 +408,46 @@ def save_checkpoint(path: str, params: EncoderParams) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into name -> array, in file order."""
+    """Read a checkpoint back into name -> array, in file order.
+
+    A file that is not a checkpoint, or that ends inside a record, raises
+    ``ContractError``. The format stores no tensor count, so a file cut
+    exactly between two records reads as a checkpoint with fewer
+    tensors; ``apply_checkpoint`` rejects it by name.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ContractError(f"{path} is not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    pos = 4
+
+    def take(size: int, what: str) -> int:
+        """Offset of the next ``size`` bytes, which must be in the file."""
+        nonlocal pos
+        if len(blob) - pos < size:
+            raise ContractError(
+                f"{path} is truncated: {what} at byte {pos} needs {size} "
+                f"bytes, {len(blob) - pos} left"
+            )
+        pos += size
+        return pos - size
+
+    (version,) = struct.unpack_from("<I", blob, take(4, "version"))
     if version != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {version}")
-    pos = 8
     state: dict[str, np.ndarray] = {}
     while pos < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=pos)
-        pos += 8 * count
+        (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
+        start = take(name_len, "tensor name")
+        try:
+            name = blob[start:pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContractError(f"{path}: tensor name at byte {start} is not UTF-8") from None
+        (rank,) = struct.unpack_from("<I", blob, take(4, f"rank of {name}"))
+        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"dims of {name}"))
+        count = math.prod(dims)
+        data = np.frombuffer(blob, dtype="<f8", count=count,
+                             offset=take(8 * count, f"data of {name}"))
         state[name] = data.reshape(dims).astype(np.float64)
     return state
 

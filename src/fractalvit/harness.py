@@ -238,7 +238,7 @@ def predict(config: EncoderConfig, params: EncoderParams,
     return forward(image, config, params).data
 
 
-EVAL_CHUNK = 64  # bounds the block-diagonal attention size
+EVAL_CHUNK = 64  # bounds the stacked (chunk, n, n) attention arrays
 
 
 def evaluate(config: EncoderConfig, params: EncoderParams,
@@ -521,6 +521,10 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
     Relative error uses a 1e-6 denominator floor so finite-difference
     noise on near-zero gradients does not register as disagreement.
     """
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"eps must be a positive finite step, got {eps!r}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     params = init_params(config)
     rng = Rng(substream_seed(seed, 7))
     randomize_params(params, rng)

@@ -37,8 +37,8 @@ def sincos2d(h: int, w: int, d: int, tau: float = 10000.0) -> np.ndarray:
     The first d/2 dims encode the row coordinate, the second d/2 the
     column, with interleaved sin/cos pairs at frequencies tau**(-4i/d).
     """
-    if d % 4 != 0:
-        raise ConfigError(f"sincos2d needs d divisible by 4, got {d}")
+    if d < 4 or d % 4 != 0:
+        raise ConfigError(f"sincos2d needs a positive d divisible by 4, got {d}")
     n_freq = d // 4
     omega = tau ** (-4.0 * np.arange(n_freq) / d)
     ys = np.arange(h, dtype=np.float64)
@@ -133,6 +133,8 @@ def assemble_posenc(scheme: str, layout: TokenLayout, d: int, seed: int,
             "scheme 'none' with policy 'summary' makes summary tokens "
             "indistinguishable; use policy 'register' or 'none'"
         )
+    if d < 1:
+        raise ConfigError(f"position vectors need d >= 1, got {d}")
 
     n, g = layout.total, layout.global_index
     vectors = np.zeros((n, d), dtype=np.float64)

@@ -3,10 +3,15 @@
 Both algorithms are fixed here (rather than delegating to ``random`` or
 numpy generators) so that a given seed produces the same stream on every
 platform and interpreter version.
+
+The array draws step many lanes of the same stream at once in numpy
+(see "lane-parallel draws" below). They return the same bits, and leave
+the same state, as calling the scalar draw once per element.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -100,16 +105,181 @@ class Rng:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
+
+    def _lane_words(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of ``next_u64``, stepped as lanes."""
+        words, self._s = _lane_draw(self._s, count)
+        return words
+
+    def _normals(self, count: int) -> np.ndarray:
+        """``count`` successive ``normal()`` draws as one array."""
+        if 2 * count < LANES_FROM:
+            return np.array([self.normal() for _ in range(count)])
+        u = self._lane_words(2 * count)
+        # math.log stays per element: np.log differs from it in the last
+        # bit on some inputs. math.cos stays too, so the values do not
+        # depend on numpy's vector math library.
+        logs = np.fromiter(
+            map(math.log, (1.0 - _unit(u[0::2])).tolist()), np.float64, count
+        )
+        cosines = np.fromiter(
+            map(math.cos, (2.0 * math.pi * _unit(u[1::2])).tolist()),
+            np.float64, count,
+        )
+        return np.sqrt(-2.0 * logs) * cosines
+
     def uniform_array(self, shape) -> np.ndarray:
+        """``random()`` draws in row-major order."""
         n = int(np.prod(shape))
-        return np.array([self.random() for _ in range(n)]).reshape(shape)
+        if n < LANES_FROM:
+            return np.array([self.random() for _ in range(n)]).reshape(shape)
+        return _unit(self._lane_words(n)).reshape(shape)
 
     def normal_array(self, shape, std: float = 1.0) -> np.ndarray:
+        """``normal() * std`` draws in row-major order."""
         n = int(np.prod(shape))
-        return np.array([self.normal() * std for _ in range(n)]).reshape(shape)
+        return (self._normals(n) * std).reshape(shape)
 
     def truncated_normal_array(self, shape, std: float, clip: float = 2.0) -> np.ndarray:
+        """``truncated_normal(std, clip)`` draws in row-major order.
+
+        Each round draws one normal per value still missing, so no round
+        draws past the last accepted value and the state ends where the
+        scalar loop would leave it.
+        """
         n = int(np.prod(shape))
-        return np.array(
-            [self.truncated_normal(std, clip) for _ in range(n)]
-        ).reshape(shape)
+        parts = [np.empty(0)]  # keeps the result float64 when n == 0
+        missing = n
+        while missing:
+            if 2 * missing < LANES_FROM:
+                z = np.array(
+                    [self.truncated_normal(1.0, clip) for _ in range(missing)]
+                )
+            else:
+                z = self._normals(missing)
+                z = z[np.abs(z) <= clip]
+            parts.append(z)
+            missing -= z.size
+        return (np.concatenate(parts) * std).reshape(shape)
+
+
+# ----------------------------------------------------------------------
+# lane-parallel draws
+# ----------------------------------------------------------------------
+#
+# The xoshiro256** transition T is linear over GF(2) on the 256 state
+# bits (Blackman & Vigna, "Scrambled Linear Pseudorandom Number
+# Generators", ACM TOMS 2021). So T^j is a 256x256 bit matrix, and a draw
+# of ``count`` values can run as L lanes of m steps each, lane j starting
+# at stream offset j*m. With m a power of two, the lane starts follow by
+# doubling from the tables T^(2^k). Stepping the lanes together and
+# reading them lane after lane gives the scalar stream, and the last
+# lane's state after its last value is the scalar state after the draw.
+
+LANES_FROM = 512  # draws of fewer words step the scalar generator
+
+
+def _unit(u: np.ndarray) -> np.ndarray:
+    """``random()``'s map from uint64 to [0, 1): exact in float64."""
+    return (u >> 11).astype(np.float64) * (2.0 ** -53)
+
+
+def _bits(states: np.ndarray) -> np.ndarray:
+    """(L, 4) uint64 states -> (L, 256) 0/1, bit b of word w at 64*w + b."""
+    return np.unpackbits(
+        states.astype("<u8").view(np.uint8), axis=-1, bitorder="little"
+    )
+
+
+def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Apply a GF(2)-linear map, given as the images of the 256 basis
+    states, to each row of ``states``.
+
+    The bit products are summed as float32, which is exact: no sum
+    exceeds 256.
+    """
+    counts = _bits(states).astype(np.float32) @ _bits(table).astype(np.float32)
+    odd = (counts.astype(np.int32) & 1).astype(np.uint8)
+    return np.packbits(odd, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _step_lanes(lanes: np.ndarray, steps: int) -> np.ndarray:
+    """Advance (4, L) lane states in place ``steps`` times.
+
+    Returns the (steps, L) values of word 1 before each step, which the
+    output scrambler maps to the draws (``_scramble``).
+    """
+    s0, s1, s2, s3 = lanes
+    rows = np.empty((steps, lanes.shape[1]), dtype=np.uint64)
+    t = np.empty_like(s1)
+    for i in range(steps):
+        rows[i] = s1
+        np.left_shift(s1, 17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, 45, out=t)
+        s3 >>= 19
+        s3 |= t
+    return rows
+
+
+def _scramble(words: np.ndarray) -> np.ndarray:
+    """rotl(s1 * 5, 7) * 9 in place, modulo 2^64."""
+    words *= 5
+    high = words >> 57
+    words <<= 7
+    words |= high
+    words *= 9
+    return words
+
+
+@functools.cache
+def _jump_table(k: int) -> np.ndarray:
+    """T^(2^k) as a read-only (256, 4) uint64 array whose row b is the
+    image of the state with only bit b set; 8 KB each."""
+    if k > 0:
+        table = _apply(_jump_table(k - 1), _jump_table(k - 1))
+    else:
+        table = np.zeros((4, 256), dtype=np.uint64)
+        powers = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        for w in range(4):
+            table[w, 64 * w:64 * (w + 1)] = powers
+        _step_lanes(table, 1)
+        table = table.T.copy()
+    table.flags.writeable = False
+    return table
+
+
+def _lane_draw(state: list[int], count: int) -> tuple[np.ndarray, list[int]]:
+    """The next ``count`` outputs from ``state``, and the state after them.
+
+    Lanes run m = 2^a steps, m between 0.35 and 0.71 times sqrt(count).
+    That balances the numpy calls of each step against the lane starts
+    (one 256x256 bit product per lane).
+    """
+    a = max(0, count.bit_length() // 2 - 1)
+    m = 1 << a
+    n_lanes = -(-count // m)
+    starts = np.array([state], dtype=np.uint64)
+    k = a
+    while len(starts) < n_lanes:
+        ahead = _apply(_jump_table(k), starts[:n_lanes - len(starts)])
+        starts = np.concatenate([starts, ahead])
+        k += 1
+    lanes = starts.T.copy()
+    # the last lane gives only ``tail`` values; its state after them ends
+    # the draw, and the full lanes then finish on their own
+    tail = count - (n_lanes - 1) * m
+    head = _step_lanes(lanes, tail)
+    end = [int(w) for w in lanes[:, -1]]
+    rest = _step_lanes(lanes[:, :-1], m - tail)
+
+    words = np.empty(count, dtype=np.uint64)
+    full = words[:(n_lanes - 1) * m].reshape(n_lanes - 1, m)
+    full[:, :tail] = head[:, :-1].T
+    full[:, tail:] = rest.T
+    words[(n_lanes - 1) * m:] = head[:, -1]
+    return _scramble(words), end

@@ -310,6 +310,47 @@ def test_branching_graph_accumulates_through_shared_input():
     assert np.array_equal(x.grad, 2 * x.data + 1)
 
 
+def test_intermediates_keep_grad_none():
+    t = Tape()
+    x = Tensor([1.0, -2.0, 3.0])
+    w = Tensor([0.5, 0.25, 2.0])
+    prod = t.mul(x, w)
+    act = t.gelu(prod)
+    loss = t.sum_all(t.add(act, prod))
+    t.backward(loss)
+    assert x.grad is not None and w.grad is not None
+    assert prod.grad is None and act.grad is None and loss.grad is None
+
+
+def _backward_peak_bytes(depth: int, size: int) -> int:
+    """tracemalloc peak of backward over a chain of ``depth`` scale ops
+    on a ``size``-element tensor, above what was allocated before it."""
+    import tracemalloc
+
+    t = Tape()
+    x = Tensor(np.ones(size))
+    y = x
+    for _ in range(depth):
+        y = t.scale(y, 1.0)
+    loss = t.sum_all(y)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        t.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x.grad, np.ones(size))
+    return peak - base
+
+
+def test_backward_peak_memory_does_not_grow_with_depth():
+    size = 20_000
+    tensor_bytes = 8 * size
+    for depth in (4, 64):
+        assert _backward_peak_bytes(depth, size) < 4 * tensor_bytes
+
+
 # ----------------------------------------------------------------------
 # structural ops
 # ----------------------------------------------------------------------

@@ -121,6 +121,15 @@ def test_posenc_rejects_gridless_scheme(tmp_path):
     assert result.returncode == 2
 
 
+def test_posenc_zero_dim_exits_2(tmp_path):
+    out = tmp_path / "pe.csv"
+    result = fvit("posenc", "--scheme", "sincos2d", "--grid", "4x4",
+                  "--dim", "0", "--out", out)
+    assert result.returncode == 2
+    assert "error: sincos2d needs a positive d" in result.stderr
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # train command
 # ----------------------------------------------------------------------
@@ -135,6 +144,12 @@ def train_args(tmp_path, **extra):
     for key, value in extra.items():
         args += [f"--{key.replace('_', '-')}", str(value)]
     return args
+
+
+def test_train_zero_heads_exits_2(tmp_path):
+    result = fvit(*train_args(tmp_path, heads=0))
+    assert result.returncode == 2
+    assert "error: n_heads must be >= 1" in result.stderr
 
 
 def test_train_lr_zero_keeps_initial_accuracy(tmp_path):
@@ -236,6 +251,12 @@ def test_gradcheck_passes_and_asserts(tmp_path):
 def test_gradcheck_assert_violation_exits_3(tmp_path):
     result = fvit("gradcheck", *SMALL_MODEL, "--assert-max", "1e-20")
     assert result.returncode == 3
+
+
+def test_gradcheck_zero_eps_exits_2():
+    result = fvit("gradcheck", *SMALL_MODEL, "--eps", "0")
+    assert result.returncode == 2
+    assert "error: eps must be a positive finite step" in result.stderr
 
 
 def test_permtest_within_block_invariance(tmp_path):

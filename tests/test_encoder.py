@@ -344,6 +344,31 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert (tmp_path / "again.fvit").read_bytes() == (tmp_path / "model.fvit").read_bytes()
 
 
+def test_truncated_checkpoint_raises_contract_error(tmp_path):
+    config = tiny_config(grid=GridSpec(2, 2, 2, 1), d=4, n_heads=1,
+                         n_layers=1, n_classes=4, patch_size=1)
+    params = init_params(config)
+    path = tmp_path / "model.fvit"
+    save_checkpoint(str(path), params)
+    blob = path.read_bytes()
+    names = list(params.tensors)
+    cut = tmp_path / "cut.fvit"
+    prefixes = 0
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        try:
+            state = load_checkpoint(str(cut))
+        except ContractError:
+            continue
+        # only a cut between two records parses: it lacks the later tensors
+        assert list(state) == names[:len(state)] and len(state) < len(names)
+        prefixes += 1
+        with pytest.raises(ContractError):
+            apply_checkpoint(init_params(config), state)
+    # the cuts after the header and after every record but the last
+    assert prefixes == len(names)
+
+
 def test_checkpoint_binary_layout(tmp_path):
     config = tiny_config()
     params = init_params(config)

@@ -1,7 +1,67 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fractalvit.rng import Rng, _splitmix64_next, substream_seed
+from fractalvit.rng import (
+    LANES_FROM,
+    Rng,
+    _apply,
+    _jump_table,
+    _lane_draw,
+    _splitmix64_next,
+    substream_seed,
+)
+
+SEEDS = (0, 1, 2 ** 63 + 5)
+
+
+# ----------------------------------------------------------------------
+# reference implementation: the array draws as scalar loops
+# ----------------------------------------------------------------------
+
+def ref_uniform_array(rng, shape):
+    n = int(np.prod(shape))
+    return np.array([rng.random() for _ in range(n)]).reshape(shape)
+
+
+def ref_normal_array(rng, shape, std=1.0):
+    n = int(np.prod(shape))
+    return np.array([rng.normal() * std for _ in range(n)]).reshape(shape)
+
+
+def ref_truncated_normal_array(rng, shape, std, clip=2.0):
+    n = int(np.prod(shape))
+    return np.array(
+        [rng.truncated_normal(std, clip) for _ in range(n)]
+    ).reshape(shape)
+
+
+# (method, reference, extra arguments, generator words per value)
+ARRAY_DRAWS = {
+    "uniform": ("uniform_array", ref_uniform_array, (), 1),
+    "normal": ("normal_array", ref_normal_array, (0.3,), 2),
+    "truncated": ("truncated_normal_array", ref_truncated_normal_array,
+                  (0.02, 2.0), 2),
+    # a third of the normals rejected, so several rounds per draw
+    "truncated-narrow": ("truncated_normal_array",
+                         ref_truncated_normal_array, (0.5, 1.0), 2),
+    # no normal rejected: |z| <= sqrt(-2 ln 2^-53) < 8.6
+    "truncated-wide": ("truncated_normal_array", ref_truncated_normal_array,
+                       (1.0, 10.0), 2),
+}
+
+
+def assert_same_draw(kind, seed, shape):
+    """The array method and the scalar reference give the same bits and
+    leave the generator in the same state."""
+    method, ref, args, _ = ARRAY_DRAWS[kind]
+    fast, slow = Rng(seed), Rng(seed)
+    got = getattr(fast, method)(shape, *args)
+    expected = ref(slow, shape, *args)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes(), (kind, seed, shape)
+    assert fast.next_u64() == slow.next_u64(), (kind, seed, shape)
 
 
 def test_splitmix64_published_vectors():
@@ -92,3 +152,98 @@ def test_array_helpers_shapes():
     assert r.uniform_array((3, 4, 2)).shape == (3, 4, 2)
     assert r.normal_array((5,), std=2.0).shape == (5,)
     assert r.truncated_normal_array((2, 3), std=0.02).shape == (2, 3)
+
+
+# ----------------------------------------------------------------------
+# array draws against the scalar reference
+# ----------------------------------------------------------------------
+
+def _boundary_sizes(words_per_value):
+    """Value counts around the switch to lanes and around lane edges."""
+    switch = -(-LANES_FROM // words_per_value)
+    sizes = {1, 2, 3, 255, 256, 257, switch - 1, switch, switch + 1}
+    for words in (1024, 4096, 16384):  # multiples of every lane length
+        n = words // words_per_value
+        sizes |= {n - 1, n, n + 1}
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_DRAWS))
+def test_array_draws_match_scalar_reference(kind):
+    words = ARRAY_DRAWS[kind][3]
+    for seed in SEEDS:
+        for n in _boundary_sizes(words):
+            assert_same_draw(kind, seed, (n,))
+    assert_same_draw(kind, 7, (100_000,))
+    assert_same_draw(kind, 8, (40, 3, 25))
+
+
+@pytest.mark.parametrize("kind", sorted(ARRAY_DRAWS))
+def test_zero_size_draws_leave_state_alone(kind):
+    method, _, args, _ = ARRAY_DRAWS[kind]
+    for shape in ((0,), (3, 0, 5)):
+        r = Rng(3)
+        out = getattr(r, method)(shape, *args)
+        assert out.shape == shape and out.dtype == np.float64
+        assert r.next_u64() == Rng(3).next_u64()
+
+
+def _mixed_calls(r, uniform, normal, truncated):
+    """Scalar and array draws interleaved on one generator."""
+    out = []
+    for _ in range(2):
+        out += [
+            r.next_u64(), uniform(r, (700,)), r.normal(),
+            normal(r, (3, 300), 2.0), r.below(7),
+            truncated(r, (40, 50), 0.1), r.random(), uniform(r, (2, 3)),
+        ]
+    items = list(range(30))
+    r.shuffle(items)
+    return out + [items, r.next_u64()]
+
+
+def test_scalar_and_array_calls_interleave():
+    got = _mixed_calls(
+        Rng(2 ** 64 - 1),
+        lambda r, shape: r.uniform_array(shape),
+        lambda r, shape, std: r.normal_array(shape, std),
+        lambda r, shape, std: r.truncated_normal_array(shape, std),
+    )
+    expected = _mixed_calls(
+        Rng(2 ** 64 - 1), ref_uniform_array, ref_normal_array,
+        ref_truncated_normal_array,
+    )
+    for a, b in zip(got, expected, strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_lane_draw_matches_next_u64():
+    for seed in SEEDS:
+        for count in (1, 2, 5, 63, 64, 65, 1023, 1024, 1025, 9000):
+            r = Rng(seed)
+            words, end = _lane_draw(list(r._s), count)
+            assert words.tolist() == [r.next_u64() for _ in range(count)]
+            assert end == r._s
+
+
+def test_jump_tables_are_powers_of_the_step():
+    r = Rng(11)
+    start = np.array([r._s], dtype=np.uint64)
+    stepped = 0
+    for k in range(11):
+        while stepped < 2 ** k:
+            r.next_u64()
+            stepped += 1
+        assert _apply(_jump_table(k), start).tolist() == [r._s]
+        start = np.array([r._s], dtype=np.uint64)
+        stepped = 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(ARRAY_DRAWS)),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    n=st.integers(min_value=0, max_value=3000),
+)
+def test_array_draws_match_reference_property(kind, seed, n):
+    assert_same_draw(kind, seed, (n,))
