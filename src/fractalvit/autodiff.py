@@ -1,9 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The operation set is exactly what the encoder needs: 2-D matmul and
-transpose, trailing-shape additive broadcasting for biases, row/column
-slicing and concatenation, layer norm, exact-CDF GELU, masked softmax,
-and softmax cross-entropy. Nothing more.
+The operation set is what the encoder needs: linear layers, stacked
+matmul and axis permutation for the fused multi-head attention,
+trailing-shape additive broadcasting for biases, row slicing, gathering
+and concatenation, layer norm, exact-CDF GELU, a scaled softmax under an
+additive bias table (-inf on excluded pairs), and batched softmax
+cross-entropy. 2-D ``matmul``, ``swap_last``, ``slice_cols`` and the
+single-row ``softmax_cross_entropy`` have no caller in the encoder; they
+stay because the benchmark's tracer (``fvbench/tracing.py``) wraps each
+of them by name.
 
 Every op runs in float64. A ``Tape`` records the ops of one forward pass;
 ``Tape.backward`` replays the record once in reverse and accumulates
@@ -207,23 +212,34 @@ class Tape:
         self._push(out, pull)
         return out
 
-    def transpose(self, a: Tensor) -> Tensor:
-        if a.data.ndim != 2:
-            raise ShapeError(f"transpose expects a matrix, got {a.data.shape}")
-        out = Tensor._wrap(np.ascontiguousarray(a.data.T))
+    def transpose(self, a: Tensor, axes=None) -> Tensor:
+        """Permute axes: ``axes`` as in ``np.transpose``; without it, the
+        transpose of a matrix. The result is C-contiguous."""
+        if axes is None:
+            if a.data.ndim != 2:
+                raise ShapeError(f"transpose expects a matrix, got {a.data.shape}")
+            axes = (1, 0)
+        axes = tuple(axes)
+        if sorted(axes) != list(range(a.data.ndim)):
+            raise ShapeError(
+                f"transpose: axes {axes} do not permute the axes of {a.data.shape}"
+            )
+        inverse = tuple(axes.index(i) for i in range(len(axes)))
+        out = Tensor._wrap(np.ascontiguousarray(a.data.transpose(axes)))
 
         def pull(g, accum):
-            accum(a, g.T)
+            accum(a, np.array(g.transpose(inverse), order="C"), owned=True)
 
         self._push(out, pull)
         return out
 
     def bmm(self, a: Tensor, b: Tensor) -> Tensor:
-        """Batched matmul over the last two axes of stacked 3-D operands."""
+        """Matmul over the last two axes of equal-rank stacks (rank >= 3)
+        whose leading axes agree."""
         if (
-            a.data.ndim != 3 or b.data.ndim != 3
-            or a.data.shape[0] != b.data.shape[0]
-            or a.data.shape[2] != b.data.shape[1]
+            a.data.ndim != b.data.ndim or a.data.ndim < 3
+            or a.data.shape[:-2] != b.data.shape[:-2]
+            or a.data.shape[-1] != b.data.shape[-2]
         ):
             raise ShapeError(
                 f"bmm: shapes {a.data.shape} and {b.data.shape} do not chain"
@@ -372,44 +388,36 @@ class Tape:
             self._push(out, pull)
         return out
 
-    def masked_softmax(self, logits: Tensor, mask: np.ndarray,
-                       bias: Tensor | np.ndarray | None = None) -> Tensor:
-        """Softmax over the allowed entries of each row.
+    def masked_softmax(self, logits: Tensor, bias: np.ndarray,
+                       scale: float = 1.0) -> Tensor:
+        """softmax(scale * logits + bias) over the last axis.
 
-        Excluded entries come out as bitwise 0.0. ``bias`` (same shape) is
-        added to the logits before the softmax. A row with no allowed
-        entry signals a malformed layout and raises.
+        ``bias`` is a constant table matching the trailing axes of the
+        logits; -inf marks an excluded entry, which comes out as bitwise
+        0.0 because exp(-inf) is exactly 0. A row with no finite entry
+        signals a malformed mask and raises.
         """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != logits.data.shape:
+        bias = np.asarray(bias, dtype=np.float64)
+        nd, bd = logits.data.ndim, bias.ndim
+        if bd > nd or bias.shape != logits.data.shape[nd - bd:]:
             raise ShapeError(
-                f"mask shape {mask.shape} does not match logits {logits.data.shape}"
+                f"bias shape {bias.shape} does not match logits {logits.data.shape}"
             )
-        if not mask.any(axis=-1).all():
+        p = logits.data * scale
+        p += bias
+        top = p.max(axis=-1, keepdims=True)
+        if top.min() == -np.inf:
             raise InvalidMaskError("masked_softmax: row with no allowed entries")
-        bias_t = bias if isinstance(bias, Tensor) else None
-        z = logits.data
-        if bias is not None:
-            bias_data = bias.data if bias_t is not None else np.asarray(bias)
-            if bias_data.shape != z.shape:
-                raise ShapeError(
-                    f"bias shape {bias_data.shape} does not match logits {z.shape}"
-                )
-            z = z + bias_data
-        top = np.where(mask, z, -np.inf).max(axis=-1, keepdims=True)
-        # keep exp off the -inf/underflow slow path: masked entries get a
-        # benign argument first and are zeroed after
-        e = np.exp(np.where(mask, z - top, 0.0))
-        e = np.where(mask, e, 0.0)
-        p = e / e.sum(axis=-1, keepdims=True)
+        p -= top
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
         out = Tensor._wrap(p)
 
         def pull(g, accum):
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            dz = p * (g - inner)  # exactly zero on excluded entries
+            dz = g - (g * p).sum(axis=-1, keepdims=True)
+            dz *= p  # exactly zero on excluded entries
+            dz *= scale
             accum(logits, dz, owned=True)
-            if bias_t is not None:
-                accum(bias_t, dz)  # dz already adopted above; copy here
 
         self._push(out, pull)
         return out

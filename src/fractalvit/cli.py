@@ -67,13 +67,6 @@ DEFAULTS = {
     "trials": "10",
 }
 
-_CONFIG_FLAGS = (
-    "grid", "k", "levels", "dim", "heads", "layers", "mlp_ratio", "patch",
-    "scheme", "policy", "mask", "seed", "tau", "task", "lr", "epochs",
-    "batch", "count", "data_seed", "eps", "kind", "trials",
-)
-
-
 def parse_grid(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
@@ -84,18 +77,22 @@ def parse_grid(text: str) -> tuple[int, int]:
 
 def load_config_file(path: str) -> dict:
     """Plain key=value lines; '#' starts a comment; unknown keys rejected."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -107,7 +104,7 @@ def resolve_run_config(args) -> dict:
         values["seed"] = env_seed
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for key in _CONFIG_FLAGS:
+    for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = str(flag)
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_posenc)
 
     p = subs.add_parser("train", help="train on a toy task")
-    _add_config_flags(p, _CONFIG_FLAGS)
+    _add_config_flags(p, tuple(DEFAULTS))
     p.add_argument("--out", help="report text path")
     p.add_argument("--csv", help="per-epoch CSV path")
     p.add_argument("--checkpoint", help="save trained weights here")

@@ -2,6 +2,11 @@
 masked multi-head attention blocks with optional distance biases, and a
 classification head read from the global token.
 
+There is one forward path, over a stacked batch of images; ``forward`` is
+that path on a batch of one. All heads of a layer run as one
+(batch, heads, n, n) attention, and the mask and the ALiBi biases enter
+it as one additive table built with the params.
+
 Everything runs in float64 through the tape engine; a forward pass on a
 non-recording tape is plain inference.
 """
@@ -88,6 +93,10 @@ class EncoderParams:
         self.tensors = tensors  # insertion order is the canonical order
         self.pos_trainable_rows = pos_trainable_rows
         self.alibi = alibi  # (n_heads, n, n) or None
+        # the additive attention table: ALiBi (or 0) on allowed pairs, -inf
+        # on excluded ones; (n_heads, n, n) with ALiBi, else (n, n)
+        self.attn_bias = np.where(mask.bits, 0.0 if alibi is None else alibi,
+                                  -np.inf)
 
     def t(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -224,57 +233,31 @@ def extract_patches(image: np.ndarray, config: EncoderConfig) -> np.ndarray:
     )
 
 
-def patch_embed(image: np.ndarray, config: EncoderConfig,
-                params: EncoderParams, tape: Tape) -> Tensor:
-    """Linear projection of each patch's RGB values to a d-vector."""
-    patches = Tensor(extract_patches(image, config))
-    return tape.linear(patches, params.t("patch_w"), params.t("patch_b"))
-
-
-def assemble_tokens(regular: Tensor, params: EncoderParams, tape: Tape) -> Tensor:
-    """[regular | summary inits | global] in canonical order, plus the
-    position table."""
-    layout = params.layout
-    if regular.data.shape[0] != layout.n_regular:
-        raise ContractError(
-            f"{regular.data.shape[0]} regular tokens, layout has {layout.n_regular}"
-        )
-    parts = [regular]
-    if layout.n_additional > 0:
-        parts.append(params.t("summary_init"))
-    parts.append(params.t("global_token"))
-    seq = tape.concat(parts, axis=0)
-    return tape.add(seq, params.t("posenc"))
-
-
-def attention_block(x: Tensor, layer: int, params: EncoderParams,
-                    tape: Tape) -> Tensor:
-    """Pre-norm block on one sequence: x + MHA(LN(x)), then + MLP(LN(.)),
-    with the params' mask and ALiBi tables."""
+def _attention_block(x: Tensor, layer: int, b: int, params: EncoderParams,
+                     tape: Tape) -> Tensor:
+    """Pre-norm block over b stacked sequences of n tokens, x being
+    (b*n, d): x + MHA(LN(x)), then + MLP(LN(.)). The heads run as one
+    (b, h, n, n) attention under the params' bias table."""
     cfg = params.config
     p = f"layer{layer}."
-    d, n_heads = cfg.d, cfg.n_heads
-    dh = d // n_heads
-    bits = params.mask.bits
-    alibi = params.alibi
+    d, h = cfg.d, cfg.n_heads
+    dh = d // h
+    n = x.data.shape[0] // b
 
-    h = tape.layer_norm(x, params.t(p + "ln1_gain"), params.t(p + "ln1_shift"))
-    q = tape.linear(h, params.t(p + "wq"))
-    k = tape.linear(h, params.t(p + "wk"))
-    v = tape.linear(h, params.t(p + "wv"))
+    ln = tape.layer_norm(x, params.t(p + "ln1_gain"), params.t(p + "ln1_shift"))
 
-    heads = []
-    inv_sqrt = 1.0 / np.sqrt(dh)
-    for i in range(n_heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qi = tape.slice_cols(q, lo, hi)
-        ki = tape.slice_cols(k, lo, hi)
-        vi = tape.slice_cols(v, lo, hi)
-        logits = tape.scale(tape.matmul(qi, tape.transpose(ki)), inv_sqrt)
-        bias = alibi[i] if alibi is not None else None
-        attn = tape.masked_softmax(logits, bits, bias)
-        heads.append(tape.matmul(attn, vi))
-    merged = heads[0] if n_heads == 1 else tape.concat(heads, axis=1)
+    def split_heads(weight: str, axes) -> Tensor:
+        """Project, then lay the heads out as (b, n, h, dh) permuted by axes."""
+        proj = tape.linear(ln, params.t(p + weight))
+        return tape.transpose(tape.reshape(proj, (b, n, h, dh)), axes)
+
+    q = split_heads("wq", (0, 2, 1, 3))
+    k_t = split_heads("wk", (0, 2, 3, 1))
+    v = split_heads("wv", (0, 2, 1, 3))
+    attn = tape.masked_softmax(tape.bmm(q, k_t), params.attn_bias,
+                               1.0 / np.sqrt(dh))
+    heads = tape.transpose(tape.bmm(attn, v), (0, 2, 1, 3))
+    merged = tape.reshape(heads, (b * n, d))
     x = tape.add(x, tape.linear(merged, params.t(p + "wo")))
 
     h2 = tape.layer_norm(x, params.t(p + "ln2_gain"), params.t(p + "ln2_shift"))
@@ -285,69 +268,21 @@ def attention_block(x: Tensor, layer: int, params: EncoderParams,
 
 def forward(image: np.ndarray, config: EncoderConfig, params: EncoderParams,
             tape: Tape | None = None) -> Tensor:
-    """Class logits (n_classes,) read from the global token."""
+    """Class logits (n_classes,) of one image: ``forward_batch`` on a
+    batch of one."""
     if tape is None:
         tape = Tape(recording=False)
-    x = assemble_tokens(patch_embed(image, config, params, tape), params, tape)
-    for layer in range(config.n_layers):
-        x = attention_block(x, layer, params, tape)
-    x = tape.layer_norm(x, params.t("final_gain"), params.t("final_shift"))
-    g = params.layout.global_index
-    pooled = tape.slice_rows(x, g, g + 1)
-    logits = tape.linear(pooled, params.t("head_w"), params.t("head_b"))
+    logits = forward_batch([image], config, params, tape)
     return tape.reshape(logits, (config.n_classes,))
-
-
-def loss(logits: Tensor, label: int, tape: Tape) -> Tensor:
-    """Softmax cross-entropy of one logit vector against an integer label."""
-    return tape.softmax_cross_entropy(logits, label)
-
-
-def _attention_block_batch(x: Tensor, layer: int, b: int,
-                           params: EncoderParams, tape: Tape) -> Tensor:
-    """The pre-norm block over b stacked sequences: x is (b*n, d) and the
-    per-head attention runs as stacked (b, n, n) matmuls."""
-    cfg = params.config
-    p = f"layer{layer}."
-    d, n_heads = cfg.d, cfg.n_heads
-    dh = d // n_heads
-    n = params.layout.total
-    bits = np.broadcast_to(params.mask.bits, (b, n, n))
-
-    h = tape.layer_norm(x, params.t(p + "ln1_gain"), params.t(p + "ln1_shift"))
-    q = tape.linear(h, params.t(p + "wq"))
-    k = tape.linear(h, params.t(p + "wk"))
-    v = tape.linear(h, params.t(p + "wv"))
-
-    heads = []
-    inv_sqrt = 1.0 / np.sqrt(dh)
-    for i in range(n_heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qi = tape.reshape(tape.slice_cols(q, lo, hi), (b, n, dh))
-        ki = tape.reshape(tape.slice_cols(k, lo, hi), (b, n, dh))
-        vi = tape.reshape(tape.slice_cols(v, lo, hi), (b, n, dh))
-        logits = tape.scale(tape.bmm(qi, tape.swap_last(ki)), inv_sqrt)
-        bias = None
-        if params.alibi is not None:
-            bias = np.broadcast_to(params.alibi[i], (b, n, n))
-        attn = tape.masked_softmax(logits, bits, bias)
-        heads.append(tape.reshape(tape.bmm(attn, vi), (b * n, dh)))
-    merged = heads[0] if n_heads == 1 else tape.concat(heads, axis=1)
-    x = tape.add(x, tape.linear(merged, params.t(p + "wo")))
-
-    h2 = tape.layer_norm(x, params.t(p + "ln2_gain"), params.t(p + "ln2_shift"))
-    m = tape.gelu(tape.linear(h2, params.t(p + "mlp_w1"), params.t(p + "mlp_b1")))
-    m = tape.linear(m, params.t(p + "mlp_w2"), params.t(p + "mlp_b2"))
-    return tape.add(x, m)
 
 
 def forward_batch(images, config: EncoderConfig, params: EncoderParams,
                   tape: Tape | None = None) -> Tensor:
     """Class logits (B, n_classes) for a batch of images.
 
-    Runs all sequences through stacked attention; per image it computes
-    exactly the same function as ``forward`` (up to float summation
-    order).
+    Each image's sequence is [regular patches | summary inits | global]
+    plus the position table; the sequences are stacked and every layer
+    runs on the stack.
     """
     if tape is None:
         tape = Tape(recording=False)
@@ -373,7 +308,7 @@ def forward_batch(images, config: EncoderConfig, params: EncoderParams,
     x = tape.add(seq, tape.concat([pos] * b, axis=0) if b > 1 else pos)
 
     for layer in range(config.n_layers):
-        x = _attention_block_batch(x, layer, b, params, tape)
+        x = _attention_block(x, layer, b, params, tape)
     x = tape.layer_norm(x, params.t("final_gain"), params.t("final_shift"))
     pooled = tape.gather_rows(x, [i * n + layout.global_index for i in range(b)])
     return tape.linear(pooled, params.t("head_w"), params.t("head_b"))

@@ -109,9 +109,6 @@ class TokenLayout:
                 return group, level, i, j
         raise AssertionError("unreachable")
 
-    def children_of(self, index: int) -> list[int]:
-        return [t for t, p in enumerate(self.parent) if p == index]
-
     def dump(self) -> str:
         """One line per token: index, group, level, position, parent or '-'."""
         lines = []

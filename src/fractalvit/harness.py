@@ -21,7 +21,6 @@ from .encoder import (
     forward,
     forward_batch,
     init_params,
-    loss,
 )
 from .errors import ConfigError
 from .grid import GridSpec
@@ -279,6 +278,8 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
         )
     if epochs < 1 or batch < 1:
         raise ConfigError("epochs and batch must be >= 1")
+    if not math.isfinite(lr):
+        raise ConfigError(f"lr must be a finite number, got {lr!r}")
     if params is None:
         params = init_params(config)
     if eval_set is None:
@@ -516,7 +517,8 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
 def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
               seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients
-    over every trainable parameter entry, on one random batch.
+    of ``batch_loss``, the objective training runs, over every trainable
+    parameter entry, on one random batch.
 
     Relative error uses a 1e-6 denominator floor so finite-difference
     noise on near-zero gradients does not register as disagreement.
@@ -532,13 +534,11 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
         (rng.uniform_array(config.image_shape), rng.below(config.n_classes))
         for _ in range(batch_size)
     ]
+    images = [image for image, _ in batch]
+    labels = [label for _, label in batch]
 
     def objective(tape: Tape) -> Tensor:
-        total = None
-        for image, label in batch:
-            sample = loss(forward(image, config, params, tape), label, tape)
-            total = sample if total is None else tape.add(total, sample)
-        return tape.scale(total, 1.0 / len(batch))
+        return batch_loss(images, labels, config, params, tape)
 
     tape = Tape()
     tape.backward(objective(tape))
@@ -574,4 +574,4 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
             a = grad_flat[idx]
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
             worst = max(worst, rel)
-    return worst
+    return float(worst)

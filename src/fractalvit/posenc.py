@@ -184,12 +184,3 @@ def write_postable_csv(table: PosTable, path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def write_alibi_csv(bias: AlibiBias, path: str) -> None:
-    """One row per (head, query): head index, query index, then n values."""
-    lines = []
-    for h in range(bias.n_heads):
-        for i, row in enumerate(bias.biases[h]):
-            lines.append(f"{h},{i}," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

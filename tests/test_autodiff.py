@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalvit.autodiff import Tape, Tensor
 from fractalvit.errors import ContractError, InvalidMaskError, ShapeError
@@ -107,26 +109,35 @@ def test_matmul_grads_match_finite_differences():
 # masked softmax
 # ----------------------------------------------------------------------
 
+def mask_bias(mask):
+    """The additive table of a boolean mask: 0 allowed, -inf excluded."""
+    return np.where(mask, 0.0, -np.inf)
+
+
 def test_masked_softmax_single_allowed_entry():
     t = Tape()
-    out = t.masked_softmax(Tensor([[0.0, 0.0]]), np.array([[True, False]]))
+    out = t.masked_softmax(Tensor([[0.0, 0.0]]), np.array([[0.0, -np.inf]]))
     assert np.array_equal(out.data, [[1.0, 0.0]])
-    assert out.data[0, 1] == 0.0  # bitwise zero
+    assert out.data[0, 1] == 0.0 and not np.signbit(out.data[0, 1])  # bitwise zero
 
 
 def test_masked_softmax_symmetry_and_closed_form():
     t = Tape()
-    out = t.masked_softmax(Tensor([[1.0, 1.0, 1.0]]), np.ones((1, 3), bool))
+    out = t.masked_softmax(Tensor([[1.0, 1.0, 1.0]]), np.zeros((1, 3)))
     assert np.allclose(out.data, 1 / 3, atol=1e-15)
-    out2 = t.masked_softmax(Tensor([[0.0, math.log(2.0)]]), np.ones((1, 2), bool))
+    out2 = t.masked_softmax(Tensor([[0.0, math.log(2.0)]]), np.zeros((1, 2)))
     assert np.allclose(out2.data, [[1 / 3, 2 / 3]], atol=1e-15)
+    out3 = t.masked_softmax(Tensor([[0.0, math.log(4.0)]]), np.zeros((1, 2)), 0.5)
+    assert np.allclose(out3.data, [[1 / 3, 2 / 3]], atol=1e-15)
 
 
 def test_masked_softmax_all_masked_row_raises():
     t = Tape()
     mask = np.array([[True, True], [False, False]])
     with pytest.raises(InvalidMaskError):
-        t.masked_softmax(Tensor(np.zeros((2, 2))), mask)
+        t.masked_softmax(Tensor(np.zeros((2, 2))), mask_bias(mask))
+    with pytest.raises(InvalidMaskError):  # the same row in any stacked slice
+        t.masked_softmax(Tensor(np.zeros((3, 2, 2))), mask_bias(mask))
 
 
 def test_masked_softmax_rows_sum_to_one_and_zeros_exact():
@@ -137,7 +148,7 @@ def test_masked_softmax_rows_sum_to_one_and_zeros_exact():
         logits = rng.standard_normal((n, n)) * 5
         mask = rng.random((n, n)) < 0.5
         mask[np.arange(n), np.arange(n)] = True  # keep rows non-empty
-        out = t.masked_softmax(Tensor(logits), mask)
+        out = t.masked_softmax(Tensor(logits), mask_bias(mask), rng.random() + 0.5)
         assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
         assert np.all(out.data[~mask] == 0.0)
 
@@ -146,31 +157,35 @@ def test_masked_softmax_bias_shifts_logits():
     t = Tape(recording=False)
     logits = Tensor([[1.0, 2.0, 0.5]])
     bias = np.array([[0.3, -0.7, 0.0]])
-    mask = np.ones((1, 3), bool)
-    with_bias = t.masked_softmax(logits, mask, bias)
-    direct = t.masked_softmax(Tensor(logits.data + bias), mask)
+    with_bias = t.masked_softmax(logits, bias, 0.25)
+    direct = t.masked_softmax(Tensor(0.25 * logits.data + bias), np.zeros((1, 3)))
     assert np.allclose(with_bias.data, direct.data, atol=1e-15)
+    # a table over the trailing axes applies to every leading slice
+    stacked = t.masked_softmax(Tensor(np.stack([logits.data] * 2)), bias, 0.25)
+    assert np.array_equal(stacked.data, np.stack([with_bias.data] * 2))
+    with pytest.raises(ShapeError):
+        t.masked_softmax(logits, np.zeros((1, 2)))
 
 
 def test_masked_softmax_grads_match_finite_differences():
     rng = np.random.default_rng(5)
     logits = Tensor(rng.standard_normal((4, 4)))
-    bias = Tensor(rng.standard_normal((4, 4)))
     mask = rng.random((4, 4)) < 0.6
     mask[np.arange(4), np.arange(4)] = True
+    bias = np.where(mask, rng.standard_normal((4, 4)), -np.inf)
     t = Tape()
     weights = np.arange(16, dtype=float).reshape(4, 4)  # break symmetry
-    out = t.masked_softmax(logits, mask, bias)
+    out = t.masked_softmax(logits, bias, 0.7)
     t.backward(t.sum_all(t.mul(out, Tensor(weights))))
     notape = Tape(recording=False)
 
     def run():
-        p = notape.masked_softmax(logits, mask, bias)
+        p = notape.masked_softmax(logits, bias, 0.7)
         return float(notape.sum_all(notape.mul(p, Tensor(weights))).data)
 
-    for tensor in (logits, bias):
-        fd = fd_gradient(run, tensor.data)
-        assert rel_err(tensor.grad, fd).max() < 1e-4
+    fd = fd_gradient(run, logits.data)
+    assert rel_err(logits.grad, fd).max() < 1e-4
+    assert np.all(logits.grad[~mask] == 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +424,35 @@ def test_slice_concat_transpose_reshape_roundtrip_grads():
     assert np.array_equal(x.grad, expected)
 
 
+def test_transpose_axes_and_inverse_pull():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+    t = Tape()
+    out = t.transpose(x, (2, 0, 1))
+    assert out.data.shape == (4, 2, 3) and out.data.flags.c_contiguous
+    assert np.array_equal(out.data, x.data.transpose(2, 0, 1))
+    weights = np.arange(24.0).reshape(4, 2, 3)
+    t.backward(t.sum_all(t.mul(out, Tensor(weights))))
+    assert np.array_equal(x.grad, weights.transpose(1, 2, 0))
+    with pytest.raises(ShapeError):
+        t.transpose(x)  # no axes: matrices only
+    with pytest.raises(ShapeError):
+        t.transpose(x, (0, 1, 1))
+
+
+def test_bmm_stacks_of_rank_four():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((2, 3, 4, 5))
+    b = rng.standard_normal((2, 3, 5, 2))
+    out = Tape(recording=False).bmm(Tensor(a), Tensor(b))
+    for i in range(2):
+        for j in range(3):
+            assert np.abs(out.data[i, j] - matmul_oracle(a[i, j], b[i, j])).max() < 1e-12
+    with pytest.raises(ShapeError):
+        Tape().bmm(Tensor(a), Tensor(b[0]))  # ranks differ
+    with pytest.raises(ShapeError):
+        Tape().bmm(Tensor(a), Tensor(b[:, :2]))  # leading axes differ
+
+
 def test_slice_out_of_range_raises():
     t = Tape()
     with pytest.raises(ContractError):
@@ -465,17 +509,96 @@ def test_primitive_gradients_on_random_shapes():
         t = Tape()
         h = t.layer_norm(x, gain, shift)
         h = t.gelu(t.linear(h, w))
-        mask = np.ones((rows, 3), bool)
-        p = t.masked_softmax(h, mask)
+        p = t.masked_softmax(h, np.zeros(3))
         t.backward(t.sum_all(t.mul(p, p)))
         notape = Tape(recording=False)
 
         def run():
             h2 = notape.layer_norm(x, gain, shift)
             h2 = notape.gelu(notape.linear(h2, w))
-            p2 = notape.masked_softmax(h2, mask)
+            p2 = notape.masked_softmax(h2, np.zeros(3))
             return float(notape.sum_all(notape.mul(p2, p2)).data)
 
         for tensor in (x, gain, shift, w):
             fd = fd_gradient(run, tensor.data)
             assert rel_err(tensor.grad, fd).max() < 1e-4
+
+
+# ----------------------------------------------------------------------
+# properties of the attention primitives on random shapes
+# ----------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+       rank=st.integers(2, 4), order=st.randoms(use_true_random=False),
+       seed=st.integers(0, 2**32 - 1))
+def test_transpose_property(dims, rank, order, seed):
+    shape = tuple(dims[:rank])
+    axes = list(range(rank))
+    order.shuffle(axes)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(shape))
+    weights = Tensor(rng.standard_normal(np.transpose(x.data, axes).shape))
+    t = Tape()
+    out = t.transpose(x, axes)
+    assert np.array_equal(out.data, np.transpose(x.data, axes))
+    t.backward(t.sum_all(t.mul(out, weights)))
+    notape = Tape(recording=False)
+
+    def run():
+        return float(notape.sum_all(notape.mul(notape.transpose(x, axes), weights)).data)
+
+    assert rel_err(x.grad, fd_gradient(run, x.data)).max() < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_bmm_property(lead, m, k, n, seed):
+    rng = np.random.default_rng(seed)
+    a = Tensor(rng.standard_normal((*lead, m, k)))
+    b = Tensor(rng.standard_normal((*lead, k, n)))
+    weights = Tensor(rng.standard_normal((*lead, m, n)))
+    t = Tape()
+    out = t.bmm(a, b)
+    assert np.abs(out.data - np.einsum("...ij,...jk->...ik", a.data, b.data)).max() < 1e-12
+    t.backward(t.sum_all(t.mul(out, weights)))
+    notape = Tape(recording=False)
+
+    def run():
+        return float(notape.sum_all(notape.mul(notape.bmm(a, b), weights)).data)
+
+    for tensor in (a, b):
+        assert rel_err(tensor.grad, fd_gradient(run, tensor.data)).max() < 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), min_size=0, max_size=2),
+       rows=st.integers(1, 5), cols=st.integers(1, 5),
+       table_rank=st.integers(2, 4), scale=st.floats(0.1, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_masked_softmax_property(lead, rows, cols, table_rank, scale, seed):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, rows, cols)
+    table_shape = shape[max(0, len(shape) - table_rank):]
+    allowed = rng.random(table_shape) < 0.6
+    allowed[..., rng.integers(cols)] = True  # no empty row
+    bias = np.where(allowed, rng.standard_normal(table_shape), -np.inf)
+    logits = Tensor(rng.standard_normal(shape))
+    weights = Tensor(rng.standard_normal(shape))
+    t = Tape()
+    p = t.masked_softmax(logits, bias, scale)
+    excluded = np.broadcast_to(~allowed, shape)
+    assert np.all(p.data[excluded] == 0.0)
+    assert not np.signbit(p.data[excluded]).any()
+    assert np.abs(p.data.sum(axis=-1) - 1.0).max() < 1e-12
+    t.backward(t.sum_all(t.mul(p, weights)))
+    assert np.all(logits.grad[excluded] == 0.0)
+    notape = Tape(recording=False)
+
+    def run():
+        q = notape.masked_softmax(logits, bias, scale)
+        return float(notape.sum_all(notape.mul(q, weights)).data)
+
+    assert rel_err(logits.grad, fd_gradient(run, logits.data)).max() < 1e-4

@@ -3,24 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import erf
+
 from fractalvit.autodiff import Tape, Tensor
 from fractalvit.encoder import (
     EncoderConfig,
+    EncoderParams,
+    _attention_block,
     apply_checkpoint,
-    assemble_tokens,
-    attention_block,
+    batch_loss,
     extract_patches,
     forward,
+    forward_batch,
     init_params,
     load_checkpoint,
-    loss,
-    patch_embed,
     save_checkpoint,
 )
 from fractalvit.errors import ConfigError, ContractError
 from fractalvit.grid import GridSpec
 from fractalvit.harness import randomize_params
-from fractalvit.mask import build_fractal_mask
+from fractalvit.mask import AttentionMask
 from fractalvit.posenc import sincos2d
 from fractalvit.rng import Rng
 
@@ -33,6 +35,89 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return EncoderConfig(**base)
+
+
+# ----------------------------------------------------------------------
+# numpy reference: one image, one head at a time
+# ----------------------------------------------------------------------
+
+def np_layer_norm(x, gain, shift, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain + shift
+
+
+def per_head_attention(q, k, v, bits, alibi, n_heads):
+    """Each head sliced out of one sequence and attended on its own:
+    q @ k.T times 1/sqrt(dh), plus the head's ALiBi table, then a softmax
+    over the allowed keys only."""
+    dh = q.shape[1] // n_heads
+    heads = []
+    for i in range(n_heads):
+        cols = slice(i * dh, (i + 1) * dh)
+        z = (q[:, cols] @ k[:, cols].T) * (1.0 / np.sqrt(dh))
+        if alibi is not None:
+            z = z + alibi[i]
+        top = np.where(bits, z, -np.inf).max(axis=-1, keepdims=True)
+        e = np.where(bits, np.exp(np.where(bits, z - top, 0.0)), 0.0)
+        heads.append((e / e.sum(axis=-1, keepdims=True)) @ v[:, cols])
+    return np.concatenate(heads, axis=1)
+
+
+def reference_forward(image, config, params, attend=per_head_attention,
+                      regular_pos=None):
+    """Class logits of one image in plain numpy: a per-patch loop for the
+    embedding, the sequence [regular | summary inits | global] plus the
+    position table (``regular_pos`` replaces its regular rows), then the
+    pre-norm blocks with ``attend`` mixing the tokens."""
+    def t(name):
+        return params.t(name).data
+
+    ps, layout = config.patch_size, params.layout
+    regular = np.array([
+        t("patch_w") @ image[i * ps:(i + 1) * ps, j * ps:(j + 1) * ps, :]
+        .reshape(-1) + t("patch_b")
+        for i in range(config.grid.n_h) for j in range(config.grid.n_w)
+    ])
+    parts = [regular]
+    if layout.n_additional > 0:
+        parts.append(t("summary_init"))
+    parts.append(t("global_token"))
+    pos = t("posenc").copy()
+    if regular_pos is not None:
+        pos[:layout.n_regular] = regular_pos
+    x = np.concatenate(parts) + pos
+    assert x.shape == (layout.total, config.d)
+    for layer in range(config.n_layers):
+        p = f"layer{layer}."
+        h = np_layer_norm(x, t(p + "ln1_gain"), t(p + "ln1_shift"))
+        q, k, v = (h @ t(p + w).T for w in ("wq", "wk", "wv"))
+        mixed = attend(q, k, v, params.mask.bits, params.alibi, config.n_heads)
+        x = x + mixed @ t(p + "wo").T
+        h = np_layer_norm(x, t(p + "ln2_gain"), t(p + "ln2_shift"))
+        m = h @ t(p + "mlp_w1").T + t(p + "mlp_b1")
+        m = m * 0.5 * (1.0 + erf(m / math.sqrt(2.0)))
+        x = x + m @ t(p + "mlp_w2").T + t(p + "mlp_b2")
+    x = np_layer_norm(x, t("final_gain"), t("final_shift"))
+    return t("head_w") @ x[layout.global_index] + t("head_b")
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("scheme,policy,mask", [
+    ("sincos2d", "summary", "fractal"),
+    ("none", "none", "full"),
+    ("alibi2d", "summary", "fractal"),
+])
+def test_forward_batch_matches_per_head_reference(n_heads, scheme, policy, mask):
+    config = tiny_config(scheme=scheme, policy=policy, mask=mask, d=16,
+                         n_heads=n_heads)
+    params = init_params(config)
+    randomize_params(params, Rng(40 + n_heads))
+    rng = np.random.default_rng(41)
+    images = [rng.random(config.image_shape) for _ in range(3)]
+    batched = forward_batch(images, config, params).data
+    expected = np.array([reference_forward(img, config, params) for img in images])
+    assert np.abs(batched - expected).max() < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -69,37 +154,46 @@ def test_patch_count_from_shape():
 
 
 def test_zero_image_zero_bias_gives_zero_tokens():
-    config = tiny_config()
-    params = init_params(config)
-    tape = Tape(recording=False)
-    tokens = patch_embed(np.zeros(config.image_shape), config, params, tape)
-    assert np.all(tokens.data == 0.0)
+    # With the initial (zero) patch bias, summary and global tokens and no
+    # position table, a zero image makes every token zero, so the tokens
+    # stay equal through the blocks and the mask cannot matter.
+    fractal = tiny_config(scheme="none", policy="none")
+    full = tiny_config(scheme="none", policy="none", mask="full")
+    pf = init_params(fractal)
+    randomize_params(pf, Rng(1))
+    init = init_params(fractal)
+    for name in ("patch_b", "summary_init", "global_token"):
+        pf.t(name).data[...] = init.t(name).data
+    pu = init_params(full)
+    pu.tensors.update(pf.tensors)
+
+    def gap(image):
+        return np.abs(forward_batch([image], fractal, pf).data
+                      - forward_batch([image], full, pu).data).max()
+
+    assert gap(np.zeros(fractal.image_shape)) < 1e-12
+    assert gap(np.random.default_rng(2).random(fractal.image_shape)) > 1e-8
 
 
 def test_patch_embed_matches_naive_loop():
     config = tiny_config()
     params = init_params(config)
+    randomize_params(params, Rng(0))
     rng = np.random.default_rng(0)
-    image = rng.random(config.image_shape)
-    tape = Tape(recording=False)
-    tokens = patch_embed(image, config, params, tape).data
-
-    w = params.t("patch_w").data
-    b = params.t("patch_b").data
-    ps = config.patch_size
-    expected = np.zeros_like(tokens)
-    for i in range(config.grid.n_h):
-        for j in range(config.grid.n_w):
-            flat = image[i * ps:(i + 1) * ps, j * ps:(j + 1) * ps, :].reshape(-1)
-            expected[i * config.grid.n_w + j] = w @ flat + b
-    assert np.abs(tokens - expected).max() < 1e-12
+    images = [rng.random(config.image_shape) for _ in range(2)]
+    logits = forward_batch(images, config, params).data
+    expected = np.array([reference_forward(img, config, params) for img in images])
+    assert np.abs(logits - expected).max() < 1e-12
 
 
 def test_patch_embed_rejects_wrong_image_shape():
     config = tiny_config()
     params = init_params(config)
+    good = np.zeros(config.image_shape)
     with pytest.raises(ConfigError):
-        patch_embed(np.zeros((8, 8, 3)), config, params, Tape())
+        forward_batch([np.zeros((8, 8, 3))], config, params, Tape())
+    with pytest.raises(ConfigError):
+        forward_batch([good, np.zeros((8, 8, 3))], config, params, Tape())
 
 
 # ----------------------------------------------------------------------
@@ -109,23 +203,25 @@ def test_patch_embed_rejects_wrong_image_shape():
 def test_assembled_sequence_layout():
     config = tiny_config(scheme="none", policy="none")
     params = init_params(config)
-    tape = Tape(recording=False)
-    tokens = patch_embed(np.zeros(config.image_shape), config, params, tape)
-    seq = assemble_tokens(tokens, params, tape)
-    assert seq.data.shape == (21, config.d)
-    # zero-init summary and global rows stay zero without positional vectors
-    assert np.all(seq.data[16:] == 0.0)
+    randomize_params(params, Rng(1))
+    assert params.attn_bias.shape == (21, 21)
+    image = np.random.default_rng(1).random(config.image_shape)
+    # the reference assembles [16 regular | 4 summary | global] explicitly
+    expected = reference_forward(image, config, params)
+    assert np.abs(forward_batch([image], config, params).data[0] - expected).max() < 1e-12
 
 
 def test_assembly_adds_positional_vectors():
     config = tiny_config()  # sincos2d + summary
     params = init_params(config)
-    tape = Tape(recording=False)
+    randomize_params(params, Rng(2))
     image = np.random.default_rng(1).random(config.image_shape)
-    tokens = patch_embed(image, config, params, tape)
-    seq = assemble_tokens(tokens, params, tape)
+    logits = forward_batch([image], config, params).data[0]
     pe = sincos2d(4, 4, config.d).reshape(-1, config.d)
-    assert np.allclose(seq.data[:16], tokens.data + pe, atol=1e-15)
+    expected = reference_forward(image, config, params, regular_pos=pe)
+    assert np.abs(logits - expected).max() < 1e-12
+    unplaced = reference_forward(image, config, params, regular_pos=0.0)
+    assert np.abs(logits - unplaced).max() > 1e-8
 
 
 def test_sequence_length_273_for_16x16_k4():
@@ -134,17 +230,10 @@ def test_sequence_length_273_for_16x16_k4():
         n_classes=4,
     )
     params = init_params(config)
-    tape = Tape(recording=False)
-    tokens = patch_embed(np.zeros(config.image_shape), config, params, tape)
-    seq = assemble_tokens(tokens, params, tape)
-    assert seq.data.shape[0] == 273
-
-
-def test_assemble_rejects_wrong_token_count():
-    config = tiny_config()
-    params = init_params(config)
-    with pytest.raises(ContractError):
-        assemble_tokens(Tensor(np.zeros((7, config.d))), params, Tape())
+    assert params.t("posenc").data.shape == (273, config.d)
+    assert params.attn_bias.shape == (273, 273)
+    logits = forward_batch([np.zeros(config.image_shape)], config, params)
+    assert logits.data.shape == (1, 4)
 
 
 # ----------------------------------------------------------------------
@@ -158,54 +247,42 @@ def test_zero_qk_full_mask_averages_values():
     for i in range(config.n_layers):
         params.t(f"layer{i}.wq").data[...] = 0.0
         params.t(f"layer{i}.wk").data[...] = 0.0
-    rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((21, config.d)))
-    tape = Tape(recording=False)
-    out = attention_block(x, 0, params, tape)
+    image = np.random.default_rng(4).random(config.image_shape)
+    logits = forward_batch([image], config, params).data[0]
 
-    # uniform attention means every head output row is the mean over rows
-    ln = tape.layer_norm(
-        x, params.t("layer0.ln1_gain"), params.t("layer0.ln1_shift")
-    )
-    v = ln.data @ params.t("layer0.wv").data.T
-    mixed = np.tile(v.mean(axis=0), (21, 1))
-    after_attn = x.data + mixed @ params.t("layer0.wo").data.T
-    ln2 = tape.layer_norm(
-        Tensor(after_attn), params.t("layer0.ln2_gain"),
-        params.t("layer0.ln2_shift"),
-    )
-    m = tape.gelu(tape.linear(ln2, params.t("layer0.mlp_w1"),
-                              params.t("layer0.mlp_b1")))
-    m = tape.linear(m, params.t("layer0.mlp_w2"), params.t("layer0.mlp_b2"))
-    expected = after_attn + m.data
-    assert np.abs(out.data - expected).max() < 1e-12
+    def uniform(q, k, v, bits, alibi, n_heads):
+        # uniform attention: every head output row is the mean over rows
+        return np.tile(v.mean(axis=0), (v.shape[0], 1))
+
+    expected = reference_forward(image, config, params, attend=uniform)
+    assert np.abs(logits - expected).max() < 1e-12
 
 
 def test_fractal_mask_zeroes_nonparent_attention():
     config = tiny_config()
     params = init_params(config)
-    layout = params.layout
-    bits = build_fractal_mask(layout).bits
+    n = params.layout.total
     rng = np.random.default_rng(5)
-    logits = Tensor(rng.standard_normal((layout.total, layout.total)))
+    logits = Tensor(rng.standard_normal((2, n, n)))
     tape = Tape(recording=False)
-    probs = tape.masked_softmax(logits, bits)
+    probs = tape.masked_softmax(logits, params.attn_bias).data
     # regular token 0 may not attend summary (0,1) = index 17
-    assert probs.data[0, 17] == 0.0
-    assert probs.data[0, 16] > 0.0  # its parent
+    assert np.all(probs[:, 0, 17] == 0.0)
+    assert np.all(probs[:, 0, 16] > 0.0)  # its parent
+    assert np.array_equal(probs == 0.0, np.broadcast_to(~params.mask.bits, probs.shape))
 
 
 def test_single_token_attention_reduces_to_projections():
     config = tiny_config(scheme="none", policy="none", mask="full")
     params = init_params(config)
     randomize_params(params, Rng(6))
+    single = EncoderParams(
+        config, params.layout, AttentionMask(np.ones((1, 1), dtype=bool)),
+        params.tensors, params.pos_trainable_rows, None,
+    )
     x = Tensor(np.random.default_rng(7).standard_normal((1, config.d)))
     tape = Tape(recording=False)
-
-    bits_backup = params.mask.bits
-    params.mask = type(params.mask)(np.ones((1, 1), dtype=bool))
-    out = attention_block(x, 0, params, tape)
-    params.mask = type(params.mask)(bits_backup)
+    out = _attention_block(x, 0, 1, single, tape)
 
     ln = tape.layer_norm(
         x, params.t("layer0.ln1_gain"), params.t("layer0.ln1_shift")
@@ -238,7 +315,7 @@ def test_cross_entropy_of_equal_logits():
     params = init_params(config)
     image = np.random.default_rng(9).random(config.image_shape)
     tape = Tape()
-    out = loss(forward(image, config, params, tape), 5, tape)
+    out = batch_loss([image], [5], config, params, tape)
     assert abs(float(out.data) - math.log(16)) < 1e-12
 
 
@@ -262,10 +339,11 @@ def test_same_seed_same_params():
 def test_loss_rejects_bad_label():
     config = tiny_config()
     params = init_params(config)
-    tape = Tape()
-    logits = forward(np.zeros(config.image_shape), config, params, tape)
+    images = [np.zeros(config.image_shape)]
     with pytest.raises(ContractError):
-        loss(logits, 16, tape)
+        batch_loss(images, [16], config, params, Tape())
+    with pytest.raises(ContractError):
+        batch_loss(images, [-1], config, params, Tape())
 
 
 def test_summary_tokens_start_at_zero():
@@ -406,8 +484,6 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_forward_batch_matches_per_sample():
-    from fractalvit.encoder import batch_loss, forward_batch
-
     for scheme, policy, mask in [
         ("sincos2d", "summary", "fractal"),
         ("none", "none", "full"),
@@ -424,8 +500,6 @@ def test_forward_batch_matches_per_sample():
 
 
 def test_batch_loss_matches_mean_of_sample_losses():
-    from fractalvit.encoder import batch_loss
-
     config = tiny_config(d=16)
     params = init_params(config)
     randomize_params(params, Rng(32))
@@ -435,15 +509,13 @@ def test_batch_loss_matches_mean_of_sample_losses():
     tape = Tape(recording=False)
     batched = float(batch_loss(images, labels, config, params, tape).data)
     singles = [
-        float(loss(forward(img, config, params, tape), lab, tape).data)
+        float(batch_loss([img], [lab], config, params, tape).data)
         for img, lab in zip(images, labels)
     ]
     assert abs(batched - float(np.mean(singles))) < 1e-12
 
 
 def test_batch_gradients_match_per_sample_gradients():
-    from fractalvit.encoder import batch_loss
-
     config = tiny_config(
         grid=GridSpec(2, 2, 2, 1), d=8, n_heads=2, n_layers=1, n_classes=4,
         patch_size=2,
@@ -464,7 +536,7 @@ def test_batch_gradients_match_per_sample_gradients():
     tape = Tape()
     total = None
     for img, lab in zip(images, labels):
-        one = loss(forward(img, config, params, tape), lab, tape)
+        one = batch_loss([img], [lab], config, params, tape)
         total = one if total is None else tape.add(total, one)
     tape.backward(tape.scale(total, 1.0 / 3.0))
     for name, t, _ in params.trainable_items():

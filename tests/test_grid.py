@@ -96,7 +96,7 @@ def test_children_are_k_squared_when_divisible():
     layout = build_layout(GridSpec(8, 8, 4, 1))
     for cell in range(layout.counts[1]):
         idx = layout.offsets[1] + cell
-        assert len(layout.children_of(idx)) == 16
+        assert layout.parent.count(idx) == 16
 
 
 def test_canonical_order_roundtrip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fractalvit.autodiff import Tape
-from fractalvit.encoder import EncoderConfig, forward, init_params, loss
+from fractalvit.encoder import EncoderConfig, batch_loss, init_params
 from fractalvit.errors import ConfigError
 from fractalvit.grid import GridSpec
 from fractalvit.harness import (
@@ -273,7 +273,7 @@ def test_loss_independent_parameter_has_zero_gradients_both_ways():
     image = np.zeros(config.image_shape)
 
     tape = Tape()
-    tape.backward(loss(forward(image, config, params, tape), 1, tape))
+    tape.backward(batch_loss([image], [1], config, params, tape))
     analytic = params.t("patch_w").grad
     assert analytic is not None and np.all(analytic == 0.0)
 
@@ -281,8 +281,8 @@ def test_loss_independent_parameter_has_zero_gradients_both_ways():
     w = params.t("patch_w").data
     saved = w[0, 0]
     w[0, 0] = saved + 1e-4
-    plus = float(loss(forward(image, config, params, notape), 1, notape).data)
+    plus = float(batch_loss([image], [1], config, params, notape).data)
     w[0, 0] = saved - 1e-4
-    minus = float(loss(forward(image, config, params, notape), 1, notape).data)
+    minus = float(batch_loss([image], [1], config, params, notape).data)
     w[0, 0] = saved
     assert plus == minus  # finite difference is exactly zero too

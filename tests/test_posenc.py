@@ -10,7 +10,6 @@ from fractalvit.posenc import (
     assemble_posenc,
     init_learned,
     sincos2d,
-    write_alibi_csv,
     write_postable_csv,
 )
 
@@ -237,15 +236,3 @@ def test_postable_csv(tmp_path):
     assert first[0] == "0"
     assert [float(v) for v in first[1:]] == [0.0, 1.0, 0.0, 1.0]
 
-
-def test_alibi_csv(tmp_path):
-    layout = tiny_layout()
-    bias = alibi2d_bias(layout, 2)
-    path = tmp_path / "bias.csv"
-    write_alibi_csv(bias, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2 * layout.total
-    head, row, *values = lines[0].split(",")
-    assert (head, row) == ("0", "0")
-    assert len(values) == layout.total
-    assert float(values[0]) == 0.0
