@@ -385,9 +385,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_output_dirs(args) -> None:
+    """Every output path given must name a file in an existing directory,
+    so a bad path fails before any work runs."""
+    for key in ("out", "csv", "checkpoint"):
+        path = getattr(args, key, None)
+        if not path:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"--{key} {path}: directory {directory} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"--{key} {path} is a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_output_dirs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,14 +89,25 @@ class EncoderParams:
                  pos_trainable_rows: np.ndarray, alibi: np.ndarray | None):
         self.config = config
         self.layout = layout
-        self.mask = mask
+        self._mask = mask
         self.tensors = tensors  # insertion order is the canonical order
         self.pos_trainable_rows = pos_trainable_rows
-        self.alibi = alibi  # (n_heads, n, n) or None
+        self._alibi = alibi
         # the additive attention table: ALiBi (or 0) on allowed pairs, -inf
         # on excluded ones; (n_heads, n, n) with ALiBi, else (n, n)
         self.attn_bias = np.where(mask.bits, 0.0 if alibi is None else alibi,
                                   -np.inf)
+
+    # Read-only: attn_bias is derived from both once, so a new mask or
+    # ALiBi table needs a new EncoderParams.
+    @property
+    def mask(self) -> AttentionMask:
+        return self._mask
+
+    @property
+    def alibi(self) -> np.ndarray | None:
+        """(n_heads, n, n) ALiBi distance biases, or None."""
+        return self._alibi
 
     def t(self, name: str) -> Tensor:
         return self.tensors[name]

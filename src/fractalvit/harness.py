@@ -261,21 +261,49 @@ def default_eval_set(config: EncoderConfig, dataset: ToyDataset) -> ToyDataset:
     raise ConfigError(f"unknown task {dataset.task!r}")
 
 
+def _check_against_config(config: EncoderConfig, data: ToyDataset,
+                          what: str) -> None:
+    if not data.samples:
+        raise ConfigError(f"{what} is empty")
+    if data.n_classes != config.n_classes:
+        raise ConfigError(
+            f"{what} has {data.n_classes} classes, config expects "
+            f"{config.n_classes}"
+        )
+    for image, _ in data.samples:
+        if image.shape != config.image_shape:
+            raise ConfigError(
+                f"{what} images {image.shape} do not match "
+                f"config images {config.image_shape}"
+            )
+
+
+def _same_samples(a: ToyDataset, b: ToyDataset) -> bool:
+    """True when two datasets hold equal (image, label) samples in the
+    same order, so ``evaluate`` gives both the same accuracy."""
+    return a is b or (
+        len(a) == len(b)
+        and all(
+            label_a == label_b and np.array_equal(image_a, image_b)
+            for (image_a, label_a), (image_b, label_b)
+            in zip(a.samples, b.samples)
+        )
+    )
+
+
 def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
           batch: int, *, params: EncoderParams | None = None,
           eval_set: ToyDataset | None = None) -> TrainReport:
     """Mini-batch gradient descent with cosine decay and gradient clipping
-    at global norm 1. Deterministic given the config and dataset seeds."""
-    if dataset.n_classes != config.n_classes:
-        raise ConfigError(
-            f"dataset has {dataset.n_classes} classes, config expects "
-            f"{config.n_classes}"
-        )
-    if dataset.samples[0][0].shape != config.image_shape:
-        raise ConfigError(
-            f"dataset images {dataset.samples[0][0].shape} do not match "
-            f"config images {config.image_shape}"
-        )
+    at global norm 1. Deterministic given the config and dataset seeds.
+
+    Without ``eval_set`` the task's deterministic enumeration is the eval
+    set. Both sets are checked against the config before the first step.
+    An eval set that holds the same samples as the training set, by
+    identity or by content, is evaluated once per epoch, and that one
+    accuracy is recorded as both the train and the eval accuracy.
+    """
+    _check_against_config(config, dataset, "dataset")
     if epochs < 1 or batch < 1:
         raise ConfigError("epochs and batch must be >= 1")
     if not math.isfinite(lr):
@@ -284,6 +312,8 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
         params = init_params(config)
     if eval_set is None:
         eval_set = default_eval_set(config, dataset)
+    _check_against_config(config, eval_set, "eval_set")
+    eval_is_train = _same_samples(dataset, eval_set)
 
     report = TrainReport(
         task=dataset.task, seed=config.seed, data_seed=dataset.seed,
@@ -345,8 +375,12 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
             step += 1
         if batch_losses:
             report.losses.append(sum(batch_losses) / len(batch_losses))
-            report.train_accs.append(evaluate(config, params, dataset))
-            report.eval_accs.append(evaluate(config, params, eval_set))
+            train_acc = evaluate(config, params, dataset)
+            report.train_accs.append(train_acc)
+            report.eval_accs.append(
+                train_acc if eval_is_train
+                else evaluate(config, params, eval_set)
+            )
         if report.diverged:
             break
 

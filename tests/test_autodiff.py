@@ -602,3 +602,69 @@ def test_masked_softmax_property(lead, rows, cols, table_rank, scale, seed):
         return float(notape.sum_all(notape.mul(q, weights)).data)
 
     assert rel_err(logits.grad, fd_gradient(run, logits.data)).max() < 1e-4
+
+
+# ----------------------------------------------------------------------
+# properties of the remaining primitives on random shapes
+# ----------------------------------------------------------------------
+
+PRIMITIVE_CASES = (
+    "linear", "linear_bias", "layer_norm", "gelu", "concat_rows",
+    "concat_cols", "gather_rows", "slice_rows", "softmax_cross_entropy_rows",
+)
+
+
+def primitive_case(op, rng, a, b, c):
+    """Random inputs with sizes from (a, b, c) and a call of one primitive
+    on them, as ``(inputs, call)`` with ``call(tape, *inputs)``."""
+    def normal(*shape):
+        return Tensor(rng.standard_normal(shape))
+
+    if op == "linear":
+        return [normal(a, b), normal(c, b)], lambda t, x, w: t.linear(x, w)
+    if op == "linear_bias":
+        return ([normal(a, b), normal(c, b), normal(c)],
+                lambda t, x, w, bias: t.linear(x, w, bias))
+    if op == "layer_norm":
+        # with 2 features every row normalizes to +-1, and its x-gradient is
+        # too small for central differences to resolve
+        return ([normal(a, b + 2), normal(b + 2), normal(b + 2)],
+                lambda t, x, gain, shift: t.layer_norm(x, gain, shift))
+    if op == "gelu":
+        return [normal(a, b)], lambda t, x: t.gelu(x)
+    if op == "concat_rows":
+        return [normal(a, b), normal(c, b)], lambda t, x, y: t.concat([x, y], axis=0)
+    if op == "concat_cols":
+        return [normal(a, b), normal(a, c)], lambda t, x, y: t.concat([x, y], axis=1)
+    if op == "gather_rows":
+        indices = rng.integers(0, a, size=a + c)  # more picks than rows repeat
+        return [normal(a, b)], lambda t, x: t.gather_rows(x, indices)
+    if op == "slice_rows":
+        start = int(rng.integers(0, a))
+        stop = int(rng.integers(start + 1, a + 1))
+        return [normal(a, b)], lambda t, x: t.slice_rows(x, start, stop)
+    if op == "softmax_cross_entropy_rows":
+        labels = rng.integers(0, c + 1, size=a)
+        return ([normal(a, c + 1)],
+                lambda t, logits: t.softmax_cross_entropy_rows(logits, labels))
+    raise ValueError(op)
+
+
+@pytest.mark.parametrize("op", PRIMITIVE_CASES)
+@settings(max_examples=25, deadline=None)
+@given(a=st.integers(1, 5), b=st.integers(1, 5), c=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_primitive_gradient_property(op, a, b, c, seed):
+    rng = np.random.default_rng(seed)
+    inputs, call = primitive_case(op, rng, a, b, c)
+    t = Tape()
+    out = call(t, *inputs)
+    weights = Tensor(rng.standard_normal(out.data.shape))
+    t.backward(t.sum_all(t.mul(out, weights)))
+    notape = Tape(recording=False)
+
+    def run():
+        return float(notape.sum_all(notape.mul(call(notape, *inputs), weights)).data)
+
+    for tensor in inputs:
+        assert rel_err(tensor.grad, fd_gradient(run, tensor.data)).max() < 1e-4

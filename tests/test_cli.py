@@ -7,9 +7,10 @@ from fractalvit.grid import GridSpec, build_layout
 from fractalvit.mask import build_fractal_mask
 
 
-def fvit(*args, env=None):
+def fvit(*args, env=None, timeout=None):
     cmd = [sys.executable, "-m", "fractalvit"] + [str(a) for a in args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +41,17 @@ def test_mask_invalid_geometry_exits_2(tmp_path):
                   "--out", tmp_path / "m.csv")
     assert result.returncode == 2
     assert "error" in result.stderr
+
+
+def test_mask_out_that_cannot_be_a_new_file_exits_2(tmp_path):
+    missing = tmp_path / "missing" / "m.csv"
+    result = fvit("mask", "--grid", "4x4", "--out", missing)
+    assert result.returncode == 2
+    assert f"error: --out {missing}: directory {missing.parent} does not exist" \
+        in result.stderr
+    result = fvit("mask", "--grid", "4x4", "--out", tmp_path)
+    assert result.returncode == 2
+    assert f"error: --out {tmp_path} is a directory" in result.stderr
 
 
 def test_mask_pgm_format(tmp_path):
@@ -193,6 +205,26 @@ def test_train_checkpoint_written(tmp_path):
     ckpt = tmp_path / "model.fvit"
     assert fvit(*train_args(tmp_path), "--checkpoint", ckpt).returncode == 0
     assert ckpt.read_bytes()[:4] == b"FVIT"
+
+
+def test_train_out_in_missing_directory_exits_2_before_training(tmp_path):
+    # 10**6 epochs: reaching the write only after training would time out
+    missing = tmp_path / "missing" / "report.txt"
+    args = train_args(tmp_path, epochs=10**6)
+    args[args.index("--out") + 1] = missing
+    result = fvit(*args, timeout=60)
+    assert result.returncode == 2
+    assert f"error: --out {missing}: directory" in result.stderr
+    assert not missing.parent.exists()
+
+
+def test_train_checkpoint_in_missing_directory_exits_2(tmp_path):
+    ckpt = tmp_path / "missing" / "model.fvit"
+    result = fvit(*train_args(tmp_path, epochs=10**6), "--checkpoint", ckpt,
+                  timeout=60)
+    assert result.returncode == 2
+    assert "error: --checkpoint" in result.stderr
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_train_assert_min_violation_exits_3(tmp_path):

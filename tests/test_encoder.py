@@ -298,6 +298,18 @@ def test_single_token_attention_reduces_to_projections():
     assert np.abs(out.data - (after + m.data)).max() < 1e-12
 
 
+def test_mask_and_alibi_are_read_only():
+    # attn_bias is derived from both once; assigning either would leave it
+    # stale and the logits unchanged
+    params = init_params(tiny_config(scheme="alibi2d", policy="summary"))
+    mask, alibi = params.mask, params.alibi
+    with pytest.raises(AttributeError):
+        params.mask = AttentionMask(np.ones_like(mask.bits))
+    with pytest.raises(AttributeError):
+        params.alibi = np.zeros_like(alibi)
+    assert params.mask is mask and params.alibi is alibi
+
+
 # ----------------------------------------------------------------------
 # forward and loss
 # ----------------------------------------------------------------------

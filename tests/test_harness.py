@@ -1,6 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fractalvit import harness
 from fractalvit.autodiff import Tape
 from fractalvit.encoder import EncoderConfig, batch_loss, init_params
 from fractalvit.errors import ConfigError
@@ -179,6 +183,86 @@ def test_train_validates_dataset_against_config():
     ds = gen_marked_patch(GRID, 4, 8, seed=0)  # 16 classes
     with pytest.raises(ConfigError):
         train(config, ds, epochs=1, lr=0.1, batch=4)
+    with pytest.raises(ConfigError, match="dataset is empty"):
+        train(small_config(), replace(ds, samples=[]), epochs=1, lr=0.1, batch=4)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("empty", "eval_set is empty"),
+    ("classes", "eval_set has 2 classes, config expects 16"),
+    ("shape", "eval_set images (8, 8, 3) do not match config images (16, 16, 3)"),
+])
+def test_train_validates_eval_set_before_the_first_step(monkeypatch, bad, message):
+    ds = gen_marked_patch(GRID, 4, 8, seed=0)
+    eval_set = {
+        "empty": replace(ds, samples=[]),
+        "classes": enumerate_same_block_pair_eval(GRID, 4),
+        "shape": enumerate_marked_patch_eval(GRID, 2),
+    }[bad]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("trained before checking eval_set")
+
+    monkeypatch.setattr(harness, "batch_loss", no_step)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        train(small_config(), ds, epochs=1, lr=0.1, batch=4, eval_set=eval_set)
+
+
+def eval_variant(ds, variant):
+    """An eval set for ``train`` on ``ds``: None, ``ds`` itself, an equal
+    copy, or a copy that differs in one label, one pixel or its length."""
+    if variant == "none":
+        return None
+    if variant == "same":
+        return ds
+    samples = [(image.copy(), label) for image, label in ds.samples]
+    if variant == "label":
+        image, label = samples[3]
+        samples[3] = (image, (label + 1) % ds.n_classes)
+    elif variant == "pixel":
+        image = samples[5][0]
+        image[0, 0, 0] = np.nextafter(image[0, 0, 0], 1.0)
+    elif variant == "shorter":
+        samples = samples[:-1]
+    return replace(ds, samples=samples)
+
+
+@pytest.mark.parametrize("variant, calls_per_epoch", [
+    ("none", 1), ("same", 1), ("copy", 1),
+    ("label", 2), ("pixel", 2), ("shorter", 2),
+])
+def test_eval_set_equal_to_training_set_is_evaluated_once(
+        monkeypatch, variant, calls_per_epoch):
+    calls = []
+    real_evaluate = harness.evaluate
+
+    def counting_evaluate(config, params, data):
+        calls.append(data)
+        return real_evaluate(config, params, data)
+
+    monkeypatch.setattr(harness, "evaluate", counting_evaluate)
+    ds = enumerate_marked_patch_eval(GRID, 4)
+    report = train(small_config(), ds, epochs=3, lr=0.2, batch=8,
+                   eval_set=eval_variant(ds, variant))
+    assert len(calls) == 3 * calls_per_epoch
+    assert all(data is ds for data in calls[::calls_per_epoch])
+    if calls_per_epoch == 1:
+        assert report.train_accs == report.eval_accs
+
+
+def test_equal_eval_set_reports_the_same_bytes(monkeypatch):
+    ds = enumerate_marked_patch_eval(GRID, 4)
+
+    def outputs(eval_set):
+        report = train(small_config(), ds, epochs=4, lr=0.2, batch=8,
+                       eval_set=eval_set)
+        return report.to_text(), report.to_csv()
+
+    shared = {outputs(eval_variant(ds, v)) for v in ("none", "same", "copy")}
+    assert len(shared) == 1
+    # the same bytes as evaluating the eval set separately every epoch
+    monkeypatch.setattr(harness, "_same_samples", lambda a, b: False)
+    assert shared == {outputs(None)}
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalvit.errors import ConfigError
-from fractalvit.grid import GridSpec, build_layout
+from fractalvit.grid import GridSpec, build_layout, max_levels
 from fractalvit.mask import (
     AttentionMask,
     build_fractal_mask,
@@ -186,6 +188,51 @@ def test_validate_flags_full_mask_against_fractal_layout():
     layout = build_layout(GridSpec(4, 4, 2, 1))
     report = validate_mask(build_full_mask(layout.total), layout)
     assert any("row-sum" in v for v in report.violations)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_h=st.integers(1, 12), n_w=st.integers(1, 12), k=st.integers(2, 4),
+       clamp_orphans=st.booleans(), data=st.data())
+def test_random_layouts_keep_count_identities_and_a_clean_mask(
+        n_h, n_w, k, clamp_orphans, data):
+    levels = data.draw(st.integers(0, max_levels(n_h, n_w, k)), label="levels")
+    layout = build_layout(GridSpec(n_h, n_w, k, levels), clamp_orphans)
+
+    shapes = [(n_h // k ** m, n_w // k ** m) for m in range(levels + 1)]
+    assert list(layout.level_shapes) == shapes
+    assert list(layout.counts) == [h * w for h, w in shapes]
+    assert list(layout.offsets) == [sum(layout.counts[:m]) for m in range(levels + 1)]
+    assert layout.total == sum(layout.counts) + 1
+    assert layout.n_regular == n_h * n_w
+    assert layout.n_additional == sum(layout.counts[1:])
+    assert layout.dump().count("\n") == layout.total
+
+    children = np.zeros(layout.total, dtype=int)
+    for m in range(levels + 1):
+        start, stop = layout.offsets[m], layout.offsets[m] + layout.counts[m]
+        parents = [p for p in layout.parent[start:stop] if p is not None]
+        if m == levels:
+            assert parents == []
+            continue
+        # floor rule: every level-(m+1) cell covers exactly k*k cells below
+        expected = layout.counts[m] if clamp_orphans else k * k * layout.counts[m + 1]
+        assert len(parents) == expected
+        upper = layout.offsets[m + 1]
+        assert all(upper <= p < upper + layout.counts[m + 1] for p in parents)
+        np.add.at(children, parents, 1)
+    assert layout.parent[layout.global_index] is None
+    summaries = slice(layout.n_regular, layout.global_index)
+    assert (children[summaries] >= k * k).all()
+    if not clamp_orphans:
+        assert (children[summaries] == k * k).all()
+
+    mask = build_fractal_mask(layout)
+    report = validate_mask(mask, layout)
+    assert report.ok, report.violations
+    pairs = sum(1 for p in layout.parent if p is not None)
+    assert int(mask.bits.sum()) == (
+        sum(c * c for c in layout.counts) + 2 * pairs + 2 * (layout.total - 1) + 1
+    )
 
 
 # ----------------------------------------------------------------------
