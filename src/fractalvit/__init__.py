@@ -2,15 +2,22 @@
 hierarchies, and positional encodings in a tiny ViT encoder."""
 
 from .autodiff import Tape, Tensor
-from .encoder import EncoderConfig, EncoderParams, forward, init_params
+from .encoder import (
+    EncoderConfig,
+    EncoderParams,
+    apply_checkpoint,
+    forward,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .grid import GridSpec, TokenLayout, build_layout, max_levels
 from .mask import AttentionMask, build_fractal_mask, build_full_mask
-from .posenc import AlibiBias, PosTable, alibi2d_bias, alibi_slopes, sincos2d
+from .posenc import PosTable, alibi2d_bias, alibi_slopes, sincos2d
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlibiBias",
     "AttentionMask",
     "EncoderConfig",
     "EncoderParams",
@@ -21,11 +28,14 @@ __all__ = [
     "TokenLayout",
     "alibi2d_bias",
     "alibi_slopes",
+    "apply_checkpoint",
     "build_fractal_mask",
     "build_full_mask",
     "build_layout",
     "forward",
     "init_params",
+    "load_checkpoint",
     "max_levels",
+    "save_checkpoint",
     "sincos2d",
 ]

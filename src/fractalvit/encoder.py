@@ -23,7 +23,7 @@ from .autodiff import Tape, Tensor
 from .errors import ConfigError, ContractError, ShapeError
 from .grid import GridSpec, TokenLayout, build_layout
 from .mask import AttentionMask, build_fractal_mask, build_full_mask
-from .posenc import POLICIES, SCHEMES, alibi2d_bias, assemble_posenc
+from .posenc import alibi2d_bias, assemble_posenc, check_scheme_policy
 from .rng import Rng, substream_seed
 
 CHECKPOINT_MAGIC = b"FVIT"
@@ -48,25 +48,15 @@ class EncoderConfig:
     tau: float = 10000.0
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}")
+        check_scheme_policy(self.scheme, self.policy, self.d)
         if self.mask not in ("full", "fractal"):
             raise ConfigError(f"mask must be 'full' or 'fractal', got {self.mask!r}")
-        if self.scheme == "none" and self.policy == "summary":
-            raise ConfigError(
-                "scheme 'none' with policy 'summary' makes summary tokens "
-                "indistinguishable"
-            )
         if self.n_heads < 1:
             raise ConfigError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d < 1 or self.d % self.n_heads != 0:
             raise ConfigError(
                 f"d={self.d} must be a positive multiple of n_heads={self.n_heads}"
             )
-        if (self.scheme == "sincos2d" or self.policy == "sincos2d") and self.d % 4 != 0:
-            raise ConfigError(f"sincos2d needs d divisible by 4, got {self.d}")
         if self.n_layers < 1 or self.n_classes < 2 or self.patch_size < 1:
             raise ConfigError("n_layers >= 1, n_classes >= 2, patch_size >= 1 required")
         if self.mlp_ratio < 1:
@@ -182,7 +172,7 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     if config.scheme == "alibi2d":
         alibi = alibi2d_bias(
             layout, config.n_heads, regular_only=config.policy != "summary"
-        ).biases
+        )
 
     rng = Rng(substream_seed(config.seed, 0))
     d, r = config.d, config.mlp_ratio

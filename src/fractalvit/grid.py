@@ -4,13 +4,12 @@ parent assignment, and the canonical token ordering.
 Canonical order is [regular | level-1 summaries | ... | top level | global],
 row-major within each group. Level m of an (n_h, n_w) grid with branching
 factor k has shape (n_h // k**m, n_w // k**m); positions whose k-block falls
-outside that floor-truncated grid are orphans and get no parent unless
-clamping is requested.
+outside that floor-truncated grid are orphans and get no parent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, ContractError
 
@@ -61,7 +60,6 @@ class TokenLayout:
     offsets: tuple[int, ...]
     total: int
     parent: tuple  # per token: parent index or None
-    clamp_orphans: bool = field(default=False)
 
     @property
     def global_index(self) -> int:
@@ -79,20 +77,6 @@ class TokenLayout:
     @property
     def levels(self) -> int:
         return self.grid.levels
-
-    def index_of(self, level: int, i: int, j: int) -> int:
-        h, w = self._checked_shape(level, i, j)
-        return self.offsets[level] + i * w + j
-
-    def _checked_shape(self, level: int, i: int, j: int) -> tuple[int, int]:
-        if not 0 <= level <= self.levels:
-            raise ContractError(f"level {level} outside [0, {self.levels}]")
-        h, w = self.level_shapes[level]
-        if not (0 <= i < h and 0 <= j < w):
-            raise ContractError(
-                f"position ({i}, {j}) outside level-{level} grid {h}x{w}"
-            )
-        return h, w
 
     def token_info(self, index: int):
         """(group, level, i, j) for a canonical index; global has no coords."""
@@ -129,7 +113,7 @@ class TokenLayout:
         return "\n".join(lines) + "\n"
 
 
-def build_layout(grid: GridSpec, clamp_orphans: bool = False) -> TokenLayout:
+def build_layout(grid: GridSpec) -> TokenLayout:
     """Lay out regular tokens, per-level summaries, and the global token."""
     shapes = tuple(grid.level_shape(m) for m in range(grid.levels + 1))
     counts = tuple(h * w for h, w in shapes)
@@ -148,11 +132,8 @@ def build_layout(grid: GridSpec, clamp_orphans: bool = False) -> TokenLayout:
         for i in range(h):
             for j in range(w):
                 pi, pj = i // k, j // k
-                if pi >= ph or pj >= pw:
-                    if not clamp_orphans:
-                        continue
-                    pi, pj = min(pi, ph - 1), min(pj, pw - 1)
-                parent[offsets[m] + i * w + j] = offsets[m + 1] + pi * pw + pj
+                if pi < ph and pj < pw:  # otherwise an orphan
+                    parent[offsets[m] + i * w + j] = offsets[m + 1] + pi * pw + pj
 
     return TokenLayout(
         grid=grid,
@@ -161,11 +142,4 @@ def build_layout(grid: GridSpec, clamp_orphans: bool = False) -> TokenLayout:
         offsets=tuple(offsets),
         total=total,
         parent=tuple(parent),
-        clamp_orphans=clamp_orphans,
     )
-
-
-def parent_of(layout: TokenLayout, level: int, pos: tuple[int, int]):
-    """Parent token index of the level-``level`` token at ``pos``, or None."""
-    i, j = pos
-    return layout.parent[layout.index_of(level, i, j)]

@@ -23,7 +23,7 @@ from .encoder import (
     init_params,
 )
 from .errors import ConfigError
-from .grid import GridSpec
+from .grid import GridSpec, TokenLayout
 from .rng import Rng, substream_seed
 
 BACKGROUND = 0.25
@@ -232,11 +232,6 @@ def config_echo(config: EncoderConfig) -> dict:
     }
 
 
-def predict(config: EncoderConfig, params: EncoderParams,
-            image: np.ndarray) -> np.ndarray:
-    return forward(image, config, params).data
-
-
 EVAL_CHUNK = 64  # bounds the stacked (chunk, n, n) attention arrays
 
 
@@ -431,39 +426,34 @@ def permute_patches(image: np.ndarray, perm, grid: GridSpec,
     return out
 
 
-def _complete_blocks(grid: GridSpec) -> list[list[int]]:
-    """Flat patch indices of each level-1 block cell, row-major."""
-    k = grid.k
-    bh, bw = grid.n_h // k, grid.n_w // k
-    blocks = []
-    for bi in range(bh):
-        for bj in range(bw):
-            blocks.append(
-                [
-                    (bi * k + di) * grid.n_w + (bj * k + dj)
-                    for di in range(k)
-                    for dj in range(k)
-                ]
-            )
-    return blocks
+def _by_parent(layout: TokenLayout, level: int) -> dict:
+    """Cells of one level grouped by their parent token (None for cells
+    without one), in token order."""
+    off = layout.offsets[level]
+    groups: dict = {}
+    for cell in range(layout.counts[level]):
+        groups.setdefault(layout.parent[off + cell], []).append(cell)
+    return groups
 
 
-def sample_permutation(config: EncoderConfig, kind: str, rng: Rng):
+def sample_permutation(layout: TokenLayout, kind: str, rng: Rng):
     """(patch_perm, summary_perm) for one trial; both map dest -> source.
 
     ``summary_perm`` is None unless the kind relabels whole blocks, in
     which case the level-1 summary rows must move with their blocks.
     """
-    grid = config.grid
-    n_reg = grid.n_h * grid.n_w
+    n_reg = layout.n_regular
     if kind == "any":
         perm = list(range(n_reg))
         rng.shuffle(perm)
         return perm, None
 
-    if grid.levels < 1:
+    if layout.levels < 1:
         raise ConfigError(f"perm kind {kind!r} needs at least one summary level")
-    blocks = _complete_blocks(grid)
+    # patch indices of each level-1 block, row-major
+    children = _by_parent(layout, 0)
+    blocks = [children[layout.offsets[1] + cell]
+              for cell in range(layout.counts[1])]
 
     if kind == "within-block":
         perm = list(range(n_reg))
@@ -475,22 +465,11 @@ def sample_permutation(config: EncoderConfig, kind: str, rng: Rng):
         return perm, None
 
     if kind == "block":
-        # Shuffle level-1 cells within their level-2 parent (arbitrary when
-        # there is no level 2); children move with their cell, keeping the
-        # same within-block offset.
-        bh, bw = grid.n_h // grid.k, grid.n_w // grid.k
-        groups: dict = {}
-        for cell in range(bh * bw):
-            bi, bj = divmod(cell, bw)
-            if grid.levels >= 2:
-                ph, pw = grid.level_shape(2)
-                pi, pj = bi // grid.k, bj // grid.k
-                key = (pi, pj) if pi < ph and pj < pw else None
-            else:
-                key = None
-            groups.setdefault(key, []).append(cell)
-        cell_perm = list(range(bh * bw))
-        for members in groups.values():
+        # Shuffle level-1 cells within their level-2 parent (the cells
+        # without one form one more group); children move with their cell,
+        # keeping the same within-block offset.
+        cell_perm = list(range(len(blocks)))
+        for members in _by_parent(layout, 1).values():
             shuffled = list(members)
             rng.shuffle(shuffled)
             for dst, src in zip(members, shuffled):
@@ -531,15 +510,15 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
     worst = 0.0
     for _ in range(trials):
         image = rng.uniform_array(config.image_shape)
-        perm, summary_perm = sample_permutation(config, kind, rng)
-        base = predict(config, params, image)
+        perm, summary_perm = sample_permutation(params.layout, kind, rng)
+        base = forward(image, config, params).data
         permuted_image = permute_patches(image, perm, config.grid,
                                          config.patch_size)
         trial_params = (
             params if summary_perm is None
             else params.with_permuted_summaries(summary_perm)
         )
-        other = predict(config, trial_params, permuted_image)
+        other = forward(permuted_image, config, trial_params).data
         worst = max(worst, float(np.abs(base - other).max()))
     return worst
 

@@ -1,5 +1,5 @@
 """Attention masks: the self-similar fractal pattern, the plain full mask,
-structural validation, and CSV / PGM export.
+and CSV / PGM export.
 
 A mask is a boolean n x n matrix, rows = queries, columns = keys. The
 fractal pattern is: full attention within each level, parent<->child edges
@@ -15,15 +15,24 @@ from .grid import TokenLayout
 
 
 class AttentionMask:
-    """Boolean query-by-key matrix; true means attention is allowed."""
+    """Boolean query-by-key matrix; true means attention is allowed.
 
-    __slots__ = ("bits",)
+    The bits are a read-only copy: ``EncoderParams`` derives its attention
+    table from them once, so a mask never changes after it is built.
+    """
+
+    __slots__ = ("_bits",)
 
     def __init__(self, bits: np.ndarray):
-        bits = np.asarray(bits, dtype=bool)
+        bits = np.array(bits, dtype=bool)
         if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
             raise ConfigError(f"mask must be square, got shape {bits.shape}")
-        self.bits = bits
+        bits.flags.writeable = False
+        self._bits = bits
+
+    @property
+    def bits(self) -> np.ndarray:
+        return self._bits
 
     @property
     def n_total(self) -> int:
@@ -50,63 +59,6 @@ def build_fractal_mask(layout: TokenLayout) -> AttentionMask:
     bits[g, :] = True
     bits[:, g] = True
     return AttentionMask(bits)
-
-
-class MaskReport:
-    """Findings from validate_mask; empty means the mask checks out."""
-
-    __slots__ = ("violations",)
-
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MaskReport(ok={self.ok}, violations={len(self.violations)})"
-
-
-def validate_mask(mask: AttentionMask, layout: TokenLayout) -> MaskReport:
-    """Check symmetry, diagonal, global connectivity, and per-row sums
-    against what the fractal construction implies for this layout."""
-    findings: list[str] = []
-    bits = mask.bits
-    n = layout.total
-    if bits.shape != (n, n):
-        findings.append(f"shape: mask is {bits.shape}, layout needs ({n}, {n})")
-        return MaskReport(findings)
-
-    asym = np.argwhere(bits != bits.T)
-    for i, j in asym:
-        if i < j:
-            findings.append(f"symmetry: ({i}, {j}) != ({j}, {i})")
-    for i in np.flatnonzero(~np.diagonal(bits)):
-        findings.append(f"diagonal: bit ({i}, {i}) cleared")
-    g = layout.global_index
-    if not bits[g, :].all():
-        findings.append("global: row not all-true")
-    if not bits[:, g].all():
-        findings.append("global: column not all-true")
-
-    n_children = np.zeros(n, dtype=int)
-    for idx, par in enumerate(layout.parent):
-        if par is not None:
-            n_children[par] += 1
-    row_sums = bits.sum(axis=1)
-    for idx in range(n):
-        if idx == g:
-            expected = n
-        else:
-            _, level, _, _ = layout.token_info(idx)
-            has_parent = layout.parent[idx] is not None
-            expected = layout.counts[level] + n_children[idx] + int(has_parent) + 1
-        if row_sums[idx] != expected:
-            findings.append(
-                f"row-sum: token {idx} has {row_sums[idx]}, expected {expected}"
-            )
-    return MaskReport(findings)
 
 
 def write_mask_csv(mask: AttentionMask, path: str) -> None:

@@ -70,23 +70,13 @@ def alibi_slopes(n_heads: int) -> np.ndarray:
     return 2.0 ** (-8.0 * (h + 1.0) / n_heads)
 
 
-@dataclass
-class AlibiBias:
-    """Per-head additive attention biases from pairwise grid distances."""
-
-    biases: np.ndarray  # (n_heads, n_total, n_total), non-positive
-    slopes: np.ndarray  # (n_heads,)
-
-    @property
-    def n_heads(self) -> int:
-        return self.biases.shape[0]
-
-
 def alibi2d_bias(layout: TokenLayout, n_heads: int,
-                 regular_only: bool = False) -> AlibiBias:
-    """Bias -m(h) * euclidean distance for same-level pairs, measured in
-    each level's own grid coordinates. Cross-level pairs and anything
-    involving the global token stay exactly zero.
+                 regular_only: bool = False) -> np.ndarray:
+    """Per-head additive attention biases, (n_heads, n_total, n_total):
+    -m(h) * euclidean distance for same-level pairs, measured in each
+    level's own grid coordinates, with m(h) from ``alibi_slopes``.
+    Cross-level pairs and anything involving the global token stay
+    exactly zero.
 
     ``regular_only`` restricts the bias to the patch grid, for
     configurations whose additional tokens are plain registers without
@@ -104,8 +94,7 @@ def alibi2d_bias(layout: TokenLayout, n_heads: int,
         dy = iy[:, None] - iy[None, :]
         dx = ix[:, None] - ix[None, :]
         dist[off:off + cnt, off:off + cnt] = np.sqrt(dy * dy + dx * dx)
-    biases = -slopes[:, None, None] * dist[None, :, :]
-    return AlibiBias(biases=biases, slopes=slopes)
+    return -slopes[:, None, None] * dist[None, :, :]
 
 
 @dataclass
@@ -113,17 +102,11 @@ class PosTable:
     """Per-token additive position vectors in canonical layout order."""
 
     vectors: np.ndarray     # (n_total, d)
-    scheme: str
     trainable: np.ndarray   # (n_total,) bool; rows the optimizer may update
 
-    @property
-    def any_trainable(self) -> bool:
-        return bool(self.trainable.any())
 
-
-def assemble_posenc(scheme: str, layout: TokenLayout, d: int, seed: int,
-                    policy: str = "summary", tau: float = 10000.0) -> PosTable:
-    """Build the full per-token position table for one configuration."""
+def check_scheme_policy(scheme: str, policy: str, d: int) -> None:
+    """The rules every scheme/policy pair obeys, for a model of width d."""
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}, choose from {SCHEMES}")
     if policy not in POLICIES:
@@ -131,8 +114,16 @@ def assemble_posenc(scheme: str, layout: TokenLayout, d: int, seed: int,
     if scheme == "none" and policy == "summary":
         raise ConfigError(
             "scheme 'none' with policy 'summary' makes summary tokens "
-            "indistinguishable; use policy 'register' or 'none'"
+            "indistinguishable; use policy 'register', 'sincos2d' or 'none'"
         )
+    if "sincos2d" in (scheme, policy) and d % 4 != 0:
+        raise ConfigError(f"sincos2d needs d divisible by 4, got {d}")
+
+
+def assemble_posenc(scheme: str, layout: TokenLayout, d: int, seed: int,
+                    policy: str = "summary", tau: float = 10000.0) -> PosTable:
+    """Build the full per-token position table for one configuration."""
+    check_scheme_policy(scheme, policy, d)
     if d < 1:
         raise ConfigError(f"position vectors need d >= 1, got {d}")
 
@@ -145,15 +136,12 @@ def assemble_posenc(scheme: str, layout: TokenLayout, d: int, seed: int,
         # participate, additional tokens only when the policy gives them
         # positional vectors (summary and register collapse to the same
         # thing here).
-        rng = Rng(seed)
         rows = list(range(layout.n_regular)) + [g]
         if policy in ("summary", "register"):
             rows = list(range(n))
-        draws = rng.truncated_normal_array((len(rows), d), std=LEARNED_STD, clip=2.0)
-        for row, vec in zip(rows, draws):
-            vectors[row] = vec
-            trainable[row] = True
-        return PosTable(vectors=vectors, scheme=scheme, trainable=trainable)
+        vectors[rows] = init_learned(len(rows), d, seed)
+        trainable[rows] = True
+        return PosTable(vectors=vectors, trainable=trainable)
 
     if scheme == "sincos2d":
         n_h, n_w = layout.level_shapes[0]
@@ -173,7 +161,7 @@ def assemble_posenc(scheme: str, layout: TokenLayout, d: int, seed: int,
         )
         trainable[off:off + layout.n_additional] = True
 
-    return PosTable(vectors=vectors, scheme=scheme, trainable=trainable)
+    return PosTable(vectors=vectors, trainable=trainable)
 
 
 def write_postable_csv(table: PosTable, path: str) -> None:

@@ -129,8 +129,8 @@ def test_criterion_3_positional_encoding_algebra():
     layout = build_layout(GridSpec(8, 8, 2, 2))
     bias = alibi2d_bias(layout, 4)
     for h in range(4):
-        assert np.array_equal(bias.biases[h], bias.biases[h].T)
-        assert np.all(np.diagonal(bias.biases[h]) == 0.0)
+        assert np.array_equal(bias[h], bias[h].T)
+        assert np.all(np.diagonal(bias[h]) == 0.0)
     report(f"PASS criterion 3: sincos2d pair identity (worst {worst_pair:.2e}), "
            f"norm d/2, slope ratios, bias symmetry")
 

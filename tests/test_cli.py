@@ -133,6 +133,17 @@ def test_posenc_rejects_gridless_scheme(tmp_path):
     assert result.returncode == 2
 
 
+def test_none_summary_rejected_alike_by_train_and_posenc_table(tmp_path):
+    flags = ("--scheme", "none", "--policy", "summary")
+    train = fvit("train", *flags, "--epochs", "1", "--out", tmp_path / "r.txt")
+    table = fvit("posenc", "--table", *flags, "--out", tmp_path / "pe.csv")
+    assert train.returncode == table.returncode == 2
+    assert train.stderr == table.stderr
+    assert train.stderr.startswith("error: scheme 'none' with policy 'summary'")
+    assert not (tmp_path / "r.txt").exists()
+    assert not (tmp_path / "pe.csv").exists()
+
+
 def test_posenc_zero_dim_exits_2(tmp_path):
     out = tmp_path / "pe.csv"
     result = fvit("posenc", "--scheme", "sincos2d", "--grid", "4x4",

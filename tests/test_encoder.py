@@ -307,6 +307,8 @@ def test_mask_and_alibi_are_read_only():
         params.mask = AttentionMask(np.ones_like(mask.bits))
     with pytest.raises(AttributeError):
         params.alibi = np.zeros_like(alibi)
+    with pytest.raises(ValueError):
+        params.mask.bits[0, -2] = not mask.bits[0, -2]
     assert params.mask is mask and params.alibi is alibi
 
 

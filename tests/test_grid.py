@@ -1,7 +1,7 @@
 import pytest
 
 from fractalvit.errors import ConfigError, ContractError
-from fractalvit.grid import GridSpec, build_layout, max_levels, parent_of
+from fractalvit.grid import GridSpec, build_layout, max_levels
 
 
 def test_max_levels_known_values():
@@ -56,38 +56,52 @@ def test_14x14_k5_single_level():
     assert layout.n_additional == 4
 
 
+def index(layout, level, i, j):
+    """Canonical index of the level-``level`` token at row i, column j."""
+    return layout.offsets[level] + i * layout.level_shapes[level][1] + j
+
+
 def test_parent_examples():
     layout = build_layout(GridSpec(16, 16, 4, 1))
-    assert parent_of(layout, 0, (5, 7)) == layout.index_of(1, 1, 1) == 261
+    assert layout.parent[index(layout, 0, 5, 7)] == index(layout, 1, 1, 1) == 261
     layout = build_layout(GridSpec(8, 8, 4, 1))
-    assert parent_of(layout, 0, (0, 0)) == layout.index_of(1, 0, 0) == 64
+    assert layout.parent[0] == index(layout, 1, 0, 0) == 64
 
 
 def test_floor_rule_orphans():
     # 14x14 with k=3: level-1 grid is 4x4, covering rows/cols 0..11 only
     layout = build_layout(GridSpec(14, 14, 3, 1))
-    assert parent_of(layout, 0, (13, 0)) is None
-    assert parent_of(layout, 0, (0, 12)) is None
-    assert parent_of(layout, 0, (11, 11)) == layout.index_of(1, 3, 3)
+    assert layout.parent[index(layout, 0, 13, 0)] is None
+    assert layout.parent[index(layout, 0, 0, 12)] is None
+    assert layout.parent[index(layout, 0, 11, 11)] == index(layout, 1, 3, 3)
 
 
-def test_clamp_orphans_flag():
-    layout = build_layout(GridSpec(14, 14, 3, 1), clamp_orphans=True)
-    assert parent_of(layout, 0, (13, 0)) == layout.index_of(1, 3, 0)
-    assert parent_of(layout, 0, (13, 13)) == layout.index_of(1, 3, 3)
+def test_orphans_are_exactly_the_cells_outside_the_floor_grid():
+    # 14x14 with k=3 and two levels: 14*14 - 12*12 orphan patches, and the
+    # level-1 cells of row and column 3 fall outside the 1x1 level-2 grid
+    layout = build_layout(GridSpec(14, 14, 3, 2))
+    for level, covered in ((0, 12), (1, 3)):
+        h, w = layout.level_shapes[level]
+        for i in range(h):
+            for j in range(w):
+                orphan = i >= covered or j >= covered
+                par = layout.parent[index(layout, level, i, j)]
+                assert (par is None) == orphan
+    assert layout.parent[:196].count(None) == 196 - 144
+    assert layout.parent[196:212].count(None) == 16 - 9
 
 
-def test_parent_of_validates_position():
+def test_token_info_validates_index():
     layout = build_layout(GridSpec(8, 8, 4, 1))
     with pytest.raises(ContractError):
-        parent_of(layout, 0, (8, 0))
+        layout.token_info(layout.total)
     with pytest.raises(ContractError):
-        parent_of(layout, 2, (0, 0))
+        layout.token_info(-1)
 
 
 def test_top_level_and_global_have_no_parent():
     layout = build_layout(GridSpec(16, 16, 4, 2))
-    top_first = layout.index_of(2, 0, 0)
+    top_first = layout.offsets[2]
     assert layout.parent[top_first] is None
     assert layout.parent[layout.global_index] is None
 
@@ -107,7 +121,7 @@ def test_canonical_order_roundtrip():
             if group == "global":
                 assert idx == layout.global_index
             else:
-                assert layout.index_of(level, i, j) == idx
+                assert index(layout, level, i, j) == idx
 
 
 def test_ordering_is_row_major_groups_in_level_order():

@@ -8,7 +8,7 @@ from fractalvit import harness
 from fractalvit.autodiff import Tape
 from fractalvit.encoder import EncoderConfig, batch_loss, init_params
 from fractalvit.errors import ConfigError
-from fractalvit.grid import GridSpec
+from fractalvit.grid import GridSpec, build_layout
 from fractalvit.harness import (
     BACKGROUND,
     MARK,
@@ -282,23 +282,23 @@ def test_permute_patches_moves_blocks():
 
 def test_sample_permutation_kinds():
     rng = Rng(0)
-    config = small_config()
-    perm, summary = sample_permutation(config, "any", rng)
+    layout = build_layout(GRID)
+    perm, summary = sample_permutation(layout, "any", rng)
     assert sorted(perm) == list(range(16))
     assert summary is None
 
-    perm, summary = sample_permutation(config, "within-block", rng)
+    perm, summary = sample_permutation(layout, "within-block", rng)
     assert summary is None
     for dst, src in enumerate(perm):
         assert (dst // 4 // 2, dst % 4 // 2) == (src // 4 // 2, src % 4 // 2)
 
-    perm, summary = sample_permutation(config, "block", rng)
+    perm, summary = sample_permutation(layout, "block", rng)
     assert sorted(summary) == list(range(4))
     for dst, src in enumerate(perm):
         # offsets within the block are preserved
         assert (dst // 4 % 2, dst % 4 % 2) == (src // 4 % 2, src % 4 % 2)
 
-    perm, summary = sample_permutation(config, "cross-block-transposition", rng)
+    perm, summary = sample_permutation(layout, "cross-block-transposition", rng)
     moved = [i for i, p in enumerate(perm) if p != i]
     assert len(moved) == 2
     a, b = moved
@@ -307,14 +307,41 @@ def test_sample_permutation_kinds():
 
 def test_sample_permutation_rejects_unknown_kind():
     with pytest.raises(ConfigError):
-        sample_permutation(small_config(), "mirror", Rng(0))
+        sample_permutation(build_layout(GRID), "mirror", Rng(0))
 
 
 def test_permutation_kinds_need_summary_levels():
-    config = small_config(grid=GridSpec(4, 4, 2, 0), scheme="none",
-                          policy="none", mask="full")
     with pytest.raises(ConfigError):
-        sample_permutation(config, "within-block", Rng(0))
+        sample_permutation(build_layout(GridSpec(4, 4, 2, 0)), "within-block",
+                           Rng(0))
+
+
+def test_block_kind_shuffles_level1_cells_within_their_level2_parent():
+    # 14x14 with k=3 and two levels: the 4x4 level-1 cells in rows and
+    # columns 0-2 share the one level-2 token, the other 7 have no parent
+    # and form a group of their own; patches outside the 12x12 level-1
+    # coverage never move
+    layout = build_layout(GridSpec(14, 14, 3, 2))
+    under_parent = {i * 4 + j for i in range(3) for j in range(3)}
+    moved_groups = set()
+    rng = Rng(4)
+    for _ in range(20):
+        perm, cell_perm = sample_permutation(layout, "block", rng)
+        assert sorted(cell_perm) == list(range(16))
+        for dst, src in enumerate(cell_perm):
+            assert (dst in under_parent) == (src in under_parent)
+            if dst != src:
+                moved_groups.add(dst in under_parent)
+        assert sorted(perm) == list(range(196))
+        for dst, src in enumerate(perm):
+            (di, dj), (si, sj) = divmod(dst, 14), divmod(src, 14)
+            if di >= 12 or dj >= 12:
+                assert src == dst
+                continue
+            # patch moves with its level-1 cell, at the same offset in it
+            assert cell_perm[di // 3 * 4 + dj // 3] == si // 3 * 4 + sj // 3
+            assert (di % 3, dj % 3) == (si % 3, sj % 3)
+    assert moved_groups == {True, False}
 
 
 def test_invariance_smoke():

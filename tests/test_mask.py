@@ -9,7 +9,6 @@ from fractalvit.mask import (
     AttentionMask,
     build_fractal_mask,
     build_full_mask,
-    validate_mask,
     write_mask_csv,
     write_mask_pgm,
 )
@@ -155,48 +154,13 @@ def test_block_automorphisms_map_mask_onto_itself():
     assert not np.array_equal(bits[np.ix_(perm, perm)], bits)
 
 
-# ----------------------------------------------------------------------
-# validation report
-# ----------------------------------------------------------------------
-
-def test_validate_clean_mask():
-    layout = build_layout(GridSpec(8, 8, 4, 1))
-    report = validate_mask(build_fractal_mask(layout), layout)
-    assert report.ok
-    assert report.violations == []
-
-
-def test_validate_detects_cleared_diagonal():
-    layout = build_layout(GridSpec(4, 4, 2, 1))
-    mask = build_fractal_mask(layout)
-    mask.bits[3, 3] = False
-    report = validate_mask(mask, layout)
-    assert not report.ok
-    assert any("diagonal" in v and "3" in v for v in report.violations)
-
-
-def test_validate_detects_asymmetry():
-    layout = build_layout(GridSpec(4, 4, 2, 1))
-    mask = build_fractal_mask(layout)
-    assert not mask.bits[0, 17]  # summary 17 is not the parent of token 0
-    mask.bits[0, 17] = True  # one-directional edge
-    report = validate_mask(mask, layout)
-    assert any("symmetry" in v and "(0, 17)" in v for v in report.violations)
-
-
-def test_validate_flags_full_mask_against_fractal_layout():
-    layout = build_layout(GridSpec(4, 4, 2, 1))
-    report = validate_mask(build_full_mask(layout.total), layout)
-    assert any("row-sum" in v for v in report.violations)
-
-
 @settings(max_examples=25, deadline=None)
 @given(n_h=st.integers(1, 12), n_w=st.integers(1, 12), k=st.integers(2, 4),
-       clamp_orphans=st.booleans(), data=st.data())
+       data=st.data())
 def test_random_layouts_keep_count_identities_and_a_clean_mask(
-        n_h, n_w, k, clamp_orphans, data):
+        n_h, n_w, k, data):
     levels = data.draw(st.integers(0, max_levels(n_h, n_w, k)), label="levels")
-    layout = build_layout(GridSpec(n_h, n_w, k, levels), clamp_orphans)
+    layout = build_layout(GridSpec(n_h, n_w, k, levels))
 
     shapes = [(n_h // k ** m, n_w // k ** m) for m in range(levels + 1)]
     assert list(layout.level_shapes) == shapes
@@ -215,24 +179,47 @@ def test_random_layouts_keep_count_identities_and_a_clean_mask(
             assert parents == []
             continue
         # floor rule: every level-(m+1) cell covers exactly k*k cells below
-        expected = layout.counts[m] if clamp_orphans else k * k * layout.counts[m + 1]
-        assert len(parents) == expected
+        assert len(parents) == k * k * layout.counts[m + 1]
         upper = layout.offsets[m + 1]
         assert all(upper <= p < upper + layout.counts[m + 1] for p in parents)
         np.add.at(children, parents, 1)
     assert layout.parent[layout.global_index] is None
     summaries = slice(layout.n_regular, layout.global_index)
-    assert (children[summaries] >= k * k).all()
-    if not clamp_orphans:
-        assert (children[summaries] == k * k).all()
+    assert (children[summaries] == k * k).all()
 
-    mask = build_fractal_mask(layout)
-    report = validate_mask(mask, layout)
-    assert report.ok, report.violations
+    bits = build_fractal_mask(layout).bits
+    g = layout.global_index
+    assert np.array_equal(bits, bits.T)
+    assert np.diagonal(bits).all()
+    assert bits[g, :].all() and bits[:, g].all()
+    # a token sees its own level, its children, its parent and the global
+    # token (the global token's own row sees everything)
+    levels_of = np.repeat(np.arange(levels + 1), layout.counts)
+    has_parent = np.array([p is not None for p in layout.parent[:g]])
+    expected = (np.array(layout.counts)[levels_of] + children[:g]
+                + has_parent + 1)
+    assert np.array_equal(bits.sum(axis=1), np.append(expected, layout.total))
     pairs = sum(1 for p in layout.parent if p is not None)
-    assert int(mask.bits.sum()) == (
+    assert int(bits.sum()) == (
         sum(c * c for c in layout.counts) + 2 * pairs + 2 * (layout.total - 1) + 1
     )
+
+
+def test_mask_bits_are_a_read_only_copy():
+    # EncoderParams derives its attention table from the bits once, so a
+    # write must fail rather than leave that table stale
+    mask = build_fractal_mask(build_layout(GridSpec(4, 4, 2, 1)))
+    assert not mask.bits[0, 17]
+    with pytest.raises(ValueError):
+        mask.bits[0, 17] = True
+    with pytest.raises(AttributeError):
+        mask.bits = np.ones_like(mask.bits)
+    assert not mask.bits[0, 17]
+
+    mine = np.eye(3, dtype=bool)
+    mask = AttentionMask(mine)
+    mine[0, 1] = True  # the caller's array stays writable and unshared
+    assert not mask.bits[0, 1]
 
 
 # ----------------------------------------------------------------------

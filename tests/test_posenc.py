@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from fractalvit.encoder import EncoderConfig
 from fractalvit.errors import ConfigError
 from fractalvit.grid import GridSpec, build_layout
 from fractalvit.posenc import (
-    AlibiBias,
     alibi2d_bias,
     alibi_slopes,
     assemble_posenc,
@@ -106,16 +106,17 @@ def test_slope_ratio_constant():
 def test_bias_three_four_five_triangle():
     layout = build_layout(GridSpec(8, 8, 2, 1))
     bias = alibi2d_bias(layout, 1)
-    token_a = layout.index_of(0, 0, 0)
-    token_b = layout.index_of(0, 3, 4)
-    assert bias.biases[0][token_a, token_b] == -bias.slopes[0] * 5.0
+    assert bias.shape == (1, layout.total, layout.total)
+    token_a = 0             # regular (0, 0)
+    token_b = 3 * 8 + 4     # regular (3, 4)
+    assert bias[0][token_a, token_b] == -alibi_slopes(1)[0] * 5.0
 
 
 def test_bias_zero_diagonal_and_symmetric():
     layout = build_layout(GridSpec(6, 6, 2, 2))
     bias = alibi2d_bias(layout, 4)
     for h in range(4):
-        b = bias.biases[h]
+        b = bias[h]
         assert np.all(np.diagonal(b) == 0.0)
         assert np.array_equal(b, b.T)
         assert np.all(b <= 0.0)
@@ -124,10 +125,10 @@ def test_bias_zero_diagonal_and_symmetric():
 def test_bias_uses_each_levels_own_grid():
     layout = build_layout(GridSpec(16, 16, 4, 1))
     bias = alibi2d_bias(layout, 2)
-    s0 = layout.index_of(1, 0, 0)
-    s1 = layout.index_of(1, 0, 1)
+    s0 = layout.offsets[1]  # summary (0, 0)
+    s1 = s0 + 1             # summary (0, 1)
     # adjacent summary cells are distance 1 on the 4x4 summary grid
-    assert bias.biases[0][s0, s1] == -bias.slopes[0] * 1.0
+    assert bias[0][s0, s1] == -alibi_slopes(2)[0] * 1.0
 
 
 def test_bias_cross_level_and_global_zero():
@@ -135,17 +136,17 @@ def test_bias_cross_level_and_global_zero():
     bias = alibi2d_bias(layout, 2)
     g = layout.global_index
     s = layout.offsets[1]
-    assert bias.biases[0][0, s] == 0.0
-    assert np.all(bias.biases[:, g, :] == 0.0)
-    assert np.all(bias.biases[:, :, g] == 0.0)
+    assert bias[0][0, s] == 0.0
+    assert np.all(bias[:, g, :] == 0.0)
+    assert np.all(bias[:, :, g] == 0.0)
 
 
 def test_bias_regular_only_mode():
     layout = build_layout(GridSpec(8, 8, 2, 1))
     bias = alibi2d_bias(layout, 2, regular_only=True)
     s0, s1 = layout.offsets[1], layout.offsets[1] + 1
-    assert bias.biases[0][s0, s1] == 0.0
-    assert bias.biases[0][0, 1] == -bias.slopes[0]
+    assert bias[0][s0, s1] == 0.0
+    assert bias[0][0, 1] == -alibi_slopes(2)[0]
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_assemble_sincos_summary_per_level_grids():
         table.vectors[256:272], sincos2d(4, 4, 16).reshape(-1, 16)
     )
     assert np.all(table.vectors[-1] == 0.0)  # global zero
-    assert not table.any_trainable
+    assert not table.trainable.any()
 
 
 def test_assemble_none_register():
@@ -207,7 +208,30 @@ def test_assemble_summary_only_sincos():
     assert np.all(table.vectors[:16] == 0.0)
     assert np.array_equal(table.vectors[16:20], sincos2d(2, 2, 8).reshape(-1, 8))
     assert np.all(table.vectors[-1] == 0.0)
-    assert not table.any_trainable
+    assert not table.trainable.any()
+
+
+def test_assemble_learned_rows_are_init_learned_draws():
+    layout = tiny_layout()
+    table = assemble_posenc("learned", layout, 8, seed=5, policy="none")
+    rows = list(range(16)) + [layout.global_index]
+    assert np.array_equal(table.vectors[rows], init_learned(17, 8, seed=5))
+
+
+@pytest.mark.parametrize("scheme,policy,d", [
+    ("rope", "summary", 8),        # unknown scheme
+    ("sincos2d", "tokens", 8),     # unknown policy
+    ("none", "summary", 8),        # summary tokens indistinguishable
+    ("sincos2d", "summary", 6),    # sincos2d needs d % 4 == 0
+    ("none", "sincos2d", 6),
+])
+def test_scheme_policy_rules_are_shared_with_the_encoder_config(scheme, policy, d):
+    with pytest.raises(ConfigError) as table_error:
+        assemble_posenc(scheme, tiny_layout(), d, seed=0, policy=policy)
+    with pytest.raises(ConfigError) as config_error:
+        EncoderConfig(grid=GridSpec(4, 4, 2, 1), d=d, n_heads=1, n_layers=1,
+                      n_classes=16, patch_size=4, scheme=scheme, policy=policy)
+    assert str(table_error.value) == str(config_error.value)
 
 
 def test_assemble_alibi2d_has_zero_vectors():
