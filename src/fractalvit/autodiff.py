@@ -1,14 +1,18 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The operation set is what the encoder needs: linear layers, stacked
-matmul and axis permutation for the fused multi-head attention,
+The operation set is what the encoder needs: linear layers, axis
+permutation and one fused multi-head attention (``attention``: scaled
+scores, softmax under an additive bias table with -inf on excluded
+pairs, and the weighted sum of values, run in cache-sized blocks),
 trailing-shape additive broadcasting for biases, row slicing, gathering
-and concatenation, layer norm, exact-CDF GELU, a scaled softmax under an
-additive bias table (-inf on excluded pairs), and batched softmax
-cross-entropy. 2-D ``matmul``, ``swap_last``, ``slice_cols`` and the
-single-row ``softmax_cross_entropy`` have no caller in the encoder; they
-stay because the benchmark's tracer (``fvbench/tracing.py``) wraps each
-of them by name.
+and concatenation, layer norm, exact-CDF GELU, and batched softmax
+cross-entropy. 2-D ``matmul``, ``swap_last``, ``slice_cols``, the
+single-row ``softmax_cross_entropy``, and the stacked ``bmm`` and
+``masked_softmax`` that ``attention`` fuses have no caller in the
+encoder; they stay because the benchmark's tracer
+(``fvbench/tracing.py``) wraps each of them by name. ``bmm`` and
+``masked_softmax`` are also the reference ``attention`` is tested
+against, bit for bit.
 
 Every op runs in float64. A ``Tape`` records the ops of one forward pass;
 ``Tape.backward`` replays the record once in reverse and accumulates
@@ -29,6 +33,32 @@ from .errors import ContractError, InvalidMaskError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Most score bytes one block of ``Tape.attention`` holds: one 14x14 image
+# (4 heads of 256 x 256 float64 scores), so a block's scores stay in cache
+# from the product through the softmax to the weighted sum. A block holds
+# at least one leading slice, however large.
+ATTENTION_BLOCK_BYTES = 2 << 20
+
+
+def _softmax_in_place(p: np.ndarray, bias: np.ndarray,
+                      allowed: np.ndarray) -> None:
+    """Turn scaled logits ``p`` into softmax(p + bias) over the last axis.
+
+    ``allowed`` is ``bias != -inf``. Excluded entries come out as bitwise
+    0.0. exp runs on the allowed entries only: numpy's vector exp falls
+    back to a slow path for a lane that holds -inf, and exp(-inf) is 0
+    anyway. A row with no finite entry signals a malformed mask and
+    raises.
+    """
+    p += bias
+    top = p.max(axis=-1, keepdims=True)
+    if top.min() == -np.inf:
+        raise InvalidMaskError("softmax row with no allowed entries")
+    p -= top
+    np.exp(p, out=p, where=allowed)
+    np.copyto(p, 0.0, where=~allowed)
+    p /= p.sum(axis=-1, keepdims=True)
 
 
 class Tensor:
@@ -357,16 +387,17 @@ class Tape:
                 f"layer_norm affine shapes {gain.data.shape}/{shift.data.shape} "
                 f"do not match feature dim {d}"
             )
-        mu = x.data.mean(axis=-1, keepdims=True)
-        var = x.data.var(axis=-1, keepdims=True)  # population variance
+        # numpy's mean and population var, with the centering done once
+        xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
+        var = np.add.reduce(xc * xc, -1, keepdims=True) / d
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * inv
+        xhat = xc * inv
         out = Tensor._wrap(xhat * gain.data + shift.data)
 
         def pull(g, accum):
             gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gy, -1, keepdims=True) / d
+            m2 = np.add.reduce(gy * xhat, -1, keepdims=True) / d
             accum(x, (gy - m1 - xhat * m2) * inv, owned=True)
             lead = tuple(range(g.ndim - 1))
             accum(gain, (g * xhat).sum(axis=lead), owned=True)
@@ -394,8 +425,8 @@ class Tape:
 
         ``bias`` is a constant table matching the trailing axes of the
         logits; -inf marks an excluded entry, which comes out as bitwise
-        0.0 because exp(-inf) is exactly 0. A row with no finite entry
-        signals a malformed mask and raises.
+        0.0. A row with no finite entry signals a malformed mask and
+        raises.
         """
         bias = np.asarray(bias, dtype=np.float64)
         nd, bd = logits.data.ndim, bias.ndim
@@ -404,13 +435,7 @@ class Tape:
                 f"bias shape {bias.shape} does not match logits {logits.data.shape}"
             )
         p = logits.data * scale
-        p += bias
-        top = p.max(axis=-1, keepdims=True)
-        if top.min() == -np.inf:
-            raise InvalidMaskError("masked_softmax: row with no allowed entries")
-        p -= top
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        _softmax_in_place(p, bias, bias != -np.inf)
         out = Tensor._wrap(p)
 
         def pull(g, accum):
@@ -418,6 +443,70 @@ class Tape:
             dz *= p  # exactly zero on excluded entries
             dz *= scale
             accum(logits, dz, owned=True)
+
+        self._push(out, pull)
+        return out
+
+    def attention(self, q: Tensor, k_t: Tensor, v: Tensor, bias: np.ndarray,
+                  scale: float) -> Tensor:
+        """softmax(scale * q @ k_t + bias) @ v over stacks of rank >= 3.
+
+        q is (L, ..., n, dk), k_t (L, ..., dk, m) and v (L, ..., m, dv);
+        ``bias`` is one constant table over the trailing axes of a leading
+        slice's (..., n, m) scores, with -inf on excluded entries. The
+        leading axis runs in blocks of at most ``ATTENTION_BLOCK_BYTES`` of
+        scores, so the scores never exist for the whole stack at once. Each
+        slice goes through the same matmuls and row reductions as
+        ``bmm`` -> ``masked_softmax`` -> ``bmm``, so the output and the
+        gradients equal that composition's bit for bit.
+        """
+        qd, kd, vd = q.data, k_t.data, v.data
+        lead = qd.shape[:-2]
+        if (
+            qd.ndim < 3 or kd.ndim != qd.ndim or vd.ndim != qd.ndim
+            or kd.shape[:-2] != lead or vd.shape[:-2] != lead
+            or kd.shape[-2] != qd.shape[-1] or vd.shape[-2] != kd.shape[-1]
+        ):
+            raise ShapeError(
+                f"attention: shapes {qd.shape}, {kd.shape} and {vd.shape} "
+                "do not chain"
+            )
+        bias = np.asarray(bias, dtype=np.float64)
+        scores = (*lead[1:], qd.shape[-2], kd.shape[-1])
+        if bias.ndim > len(scores) or bias.shape != scores[len(scores) - bias.ndim:]:
+            raise ShapeError(
+                f"attention: bias shape {bias.shape} does not match the "
+                f"scores {scores} of one leading slice"
+            )
+        allowed = bias != -np.inf
+        step = max(1, ATTENTION_BLOCK_BYTES // (8 * math.prod(scores)))
+        blocks = [slice(i, i + step) for i in range(0, lead[0], step)]
+        out_data = np.empty((*lead, qd.shape[-2], vd.shape[-1]))
+        probs = []
+        for sl in blocks:
+            p = qd[sl] @ kd[sl]
+            p *= scale
+            _softmax_in_place(p, bias, allowed)
+            np.matmul(p, vd[sl], out=out_data[sl])
+            if self.recording:
+                probs.append(p)
+        out = Tensor._wrap(out_data)
+
+        def pull(g, accum):
+            dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+            for sl, p in zip(blocks, probs):
+                gs = g[sl]
+                dz = gs @ vd[sl].swapaxes(-1, -2)
+                np.matmul(p.swapaxes(-1, -2), gs, out=dv[sl])
+                dz -= (dz * p).sum(axis=-1, keepdims=True)
+                dz *= p  # exactly zero on excluded entries
+                dz *= scale
+                np.matmul(dz, kd[sl].swapaxes(-1, -2), out=dq[sl])
+                np.matmul(qd[sl].swapaxes(-1, -2), dz, out=dk[sl])
+            # the composition's order, which matters when inputs coincide
+            accum(v, dv, owned=True)
+            accum(q, dq, owned=True)
+            accum(k_t, dk, owned=True)
 
         self._push(out, pull)
         return out

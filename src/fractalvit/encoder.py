@@ -3,9 +3,9 @@ masked multi-head attention blocks with optional distance biases, and a
 classification head read from the global token.
 
 There is one forward path, over a stacked batch of images; ``forward`` is
-that path on a batch of one. All heads of a layer run as one
-(batch, heads, n, n) attention, and the mask and the ALiBi biases enter
-it as one additive table built with the params.
+that path on a batch of one. All heads of a layer run as one fused
+``Tape.attention`` over (batch, heads, n, n) scores, and the mask and the
+ALiBi biases enter it as one additive table built with the params.
 
 Everything runs in float64 through the tape engine; a forward pass on a
 non-recording tape is plain inference.
@@ -23,7 +23,7 @@ from .autodiff import Tape, Tensor
 from .errors import ConfigError, ContractError, ShapeError
 from .grid import GridSpec, TokenLayout, build_layout
 from .mask import AttentionMask, build_fractal_mask, build_full_mask
-from .posenc import alibi2d_bias, assemble_posenc, check_scheme_policy
+from .posenc import alibi2d_bias, assemble_posenc, check_scheme_policy, check_tau
 from .rng import Rng, substream_seed
 
 CHECKPOINT_MAGIC = b"FVIT"
@@ -49,6 +49,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         check_scheme_policy(self.scheme, self.policy, self.d)
+        check_tau(self.tau)
         if self.mask not in ("full", "fractal"):
             raise ConfigError(f"mask must be 'full' or 'fractal', got {self.mask!r}")
         if self.n_heads < 1:
@@ -238,7 +239,9 @@ def _attention_block(x: Tensor, layer: int, b: int, params: EncoderParams,
                      tape: Tape) -> Tensor:
     """Pre-norm block over b stacked sequences of n tokens, x being
     (b*n, d): x + MHA(LN(x)), then + MLP(LN(.)). The heads run as one
-    (b, h, n, n) attention under the params' bias table."""
+    (b, h, n, n) attention under the params' bias table. Keys enter it
+    already transposed, (b, h, dh, n): a transpose inside the product
+    would run another BLAS kernel, whose bits may differ."""
     cfg = params.config
     p = f"layer{layer}."
     d, h = cfg.d, cfg.n_heads
@@ -255,9 +258,8 @@ def _attention_block(x: Tensor, layer: int, b: int, params: EncoderParams,
     q = split_heads("wq", (0, 2, 1, 3))
     k_t = split_heads("wk", (0, 2, 3, 1))
     v = split_heads("wv", (0, 2, 1, 3))
-    attn = tape.masked_softmax(tape.bmm(q, k_t), params.attn_bias,
-                               1.0 / np.sqrt(dh))
-    heads = tape.transpose(tape.bmm(attn, v), (0, 2, 1, 3))
+    attn = tape.attention(q, k_t, v, params.attn_bias, 1.0 / np.sqrt(dh))
+    heads = tape.transpose(attn, (0, 2, 1, 3))
     merged = tape.reshape(heads, (b * n, d))
     x = tape.add(x, tape.linear(merged, params.t(p + "wo")))
 

@@ -232,7 +232,12 @@ def config_echo(config: EncoderConfig) -> dict:
     }
 
 
-EVAL_CHUNK = 64  # bounds the stacked (chunk, n, n) attention arrays
+# Images per evaluation forward. It bounds the activations of a chunk; the
+# attention scores are bounded per block by Tape.attention. The value
+# stays because OpenBLAS's gemm result depends on the row count M: logits
+# of a batch of 8 or fewer differ in the last bit from those of 12 or
+# more, so another chunk size would change evaluated bits.
+EVAL_CHUNK = 64
 
 
 def evaluate(config: EncoderConfig, params: EncoderParams,

@@ -17,6 +17,7 @@ scheme, where it is part of the learned (trainable) table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,20 @@ POLICIES = ("summary", "register", "sincos2d", "none")
 LEARNED_STD = 0.02  # truncated at +-2 std
 
 
+def check_tau(tau: float) -> None:
+    """The sinusoid base must be a positive finite number: tau = 0 makes
+    the frequencies infinite and the table NaN."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"tau must be a positive finite number, got {tau!r}")
+
+
 def sincos2d(h: int, w: int, d: int, tau: float = 10000.0) -> np.ndarray:
     """Fixed 2-D sinusoidal table of shape (h, w, d).
 
     The first d/2 dims encode the row coordinate, the second d/2 the
     column, with interleaved sin/cos pairs at frequencies tau**(-4i/d).
     """
+    check_tau(tau)
     if d < 4 or d % 4 != 0:
         raise ConfigError(f"sincos2d needs a positive d divisible by 4, got {d}")
     n_freq = d // 4
@@ -124,6 +133,7 @@ def assemble_posenc(scheme: str, layout: TokenLayout, d: int, seed: int,
                     policy: str = "summary", tau: float = 10000.0) -> PosTable:
     """Build the full per-token position table for one configuration."""
     check_scheme_policy(scheme, policy, d)
+    check_tau(tau)
     if d < 1:
         raise ConfigError(f"position vectors need d >= 1, got {d}")
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalvit import autodiff
 from fractalvit.autodiff import Tape, Tensor
 from fractalvit.errors import ContractError, InvalidMaskError, ShapeError
 
@@ -189,6 +190,128 @@ def test_masked_softmax_grads_match_finite_differences():
 
 
 # ----------------------------------------------------------------------
+# fused attention
+# ----------------------------------------------------------------------
+
+def attention_case(rng, lead, n, m, dk, dv, bias_shape):
+    """Random q, k_t, v stacks and a bias table with -inf on some entries
+    but none on a whole row."""
+    q = rng.standard_normal((*lead, n, dk))
+    k_t = rng.standard_normal((*lead, dk, m))
+    v = rng.standard_normal((*lead, m, dv))
+    allowed = rng.random(bias_shape) < 0.6
+    allowed[..., rng.integers(m)] = True
+    bias = np.where(allowed, rng.standard_normal(bias_shape), -np.inf)
+    return q, k_t, v, bias
+
+
+def attention_both_ways(q, k_t, v, bias, scale, weights):
+    """(output, q.grad, k_t.grad, v.grad) of ``attention`` and of the
+    ``bmm`` -> ``masked_softmax`` -> ``bmm`` composition it fuses, under
+    the loss sum(out * weights)."""
+    results = []
+    for fused in (True, False):
+        tq, tk, tv = Tensor(q), Tensor(k_t), Tensor(v)
+        t = Tape()
+        if fused:
+            out = t.attention(tq, tk, tv, bias, scale)
+        else:
+            out = t.bmm(t.masked_softmax(t.bmm(tq, tk), bias, scale), tv)
+        t.backward(t.sum_all(t.mul(out, Tensor(weights))))
+        results.append((out.data, tq.grad, tk.grad, tv.grad))
+    return results
+
+
+def assert_bitwise_equal(fused, composed):
+    for name, a, b in zip(("out", "q", "k_t", "v"), fused, composed):
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name  # every bit, not a tolerance
+
+
+BLOCK = 3  # leading slices per block under the patched budget
+
+
+@pytest.mark.parametrize("bias_rank", [3, 2])  # ALiBi (h, n, m), plain (n, m)
+@pytest.mark.parametrize("images", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_attention_equals_the_composition_bitwise(monkeypatch, images, bias_rank):
+    h, n, m, dk, dv = 2, 7, 7, 4, 3
+    monkeypatch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", BLOCK * h * n * m * 8)
+    rng = np.random.default_rng(100 + images)
+    q, k_t, v, bias = attention_case(rng, (images, h), n, m, dk, dv,
+                                     (h, n, m)[3 - bias_rank:])
+    weights = rng.standard_normal((images, h, n, dv))
+    fused, composed = attention_both_ways(q, k_t, v, bias, 0.5, weights)
+    assert_bitwise_equal(fused, composed)
+
+
+def test_attention_shared_input_accumulates_like_the_composition():
+    # self-attention on one tensor: q, k_t and v are the same leaf, so the
+    # order the three adjoints are added in shows in the last bits
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 2, 4, 4))
+    bias = np.zeros((4, 4))
+    weights = rng.standard_normal((2, 2, 4, 4))
+    grads = []
+    for fused in (True, False):
+        tx = Tensor(x)
+        t = Tape()
+        out = t.attention(tx, tx, tx, bias, 0.5) if fused \
+            else t.bmm(t.masked_softmax(t.bmm(tx, tx), bias, 0.5), tx)
+        t.backward(t.sum_all(t.mul(out, Tensor(weights))))
+        grads.append(tx.grad)
+    assert np.array_equal(*grads)
+
+
+def test_attention_all_masked_row_raises(monkeypatch):
+    monkeypatch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", 1)
+    bias = mask_bias(np.array([[True, True], [False, False]]))
+    q, k_t, v = (Tensor(np.zeros((3, 2, 2))) for _ in range(3))
+    with pytest.raises(InvalidMaskError):
+        Tape().attention(q, k_t, v, bias, 1.0)
+
+
+def test_attention_rejects_shapes_that_do_not_chain():
+    t = Tape()
+    q = Tensor(np.zeros((2, 3, 4)))
+    k_t = Tensor(np.zeros((2, 4, 5)))
+    v = Tensor(np.zeros((2, 5, 6)))
+    assert t.attention(q, k_t, v, np.zeros((3, 5)), 1.0).shape == (2, 3, 6)
+    with pytest.raises(ShapeError):
+        t.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))),
+                    Tensor(np.zeros((5, 6))), np.zeros((3, 5)), 1.0)  # rank 2
+    with pytest.raises(ShapeError):
+        t.attention(q, Tensor(np.zeros((2, 3, 5))), v, np.zeros((3, 5)), 1.0)
+    with pytest.raises(ShapeError):
+        t.attention(q, k_t, Tensor(np.zeros((2, 4, 6))), np.zeros((3, 5)), 1.0)
+    with pytest.raises(ShapeError):
+        t.attention(q, k_t, Tensor(np.zeros((1, 5, 6))), np.zeros((3, 5)), 1.0)
+    with pytest.raises(ShapeError):
+        t.attention(q, k_t, v, np.zeros((5, 3)), 1.0)
+    with pytest.raises(ShapeError):  # a table over the leading axis too
+        t.attention(q, k_t, v, np.zeros((2, 3, 5)), 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       n=st.integers(1, 5), m=st.integers(1, 5), dk=st.integers(1, 4),
+       dv=st.integers(1, 4), table_rank=st.integers(1, 3),
+       per_block=st.integers(0, 5), scale=st.floats(0.1, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_attention_property(lead, n, m, dk, dv, table_rank, per_block, scale, seed):
+    scores = (*lead[1:], n, m)
+    table = scores[max(0, len(scores) - table_rank):]
+    rng = np.random.default_rng(seed)
+    q, k_t, v, bias = attention_case(rng, lead, n, m, dk, dv, table)
+    weights = rng.standard_normal((*lead, n, dv))
+    # a budget of per_block leading slices; 0 is below one slice
+    budget = per_block * math.prod(scores) * 8
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", budget)
+        fused, composed = attention_both_ways(q, k_t, v, bias, scale, weights)
+    assert_bitwise_equal(fused, composed)
+
+
+# ----------------------------------------------------------------------
 # layer norm
 # ----------------------------------------------------------------------
 
@@ -230,6 +353,23 @@ def test_layer_norm_grads_match_finite_differences():
     for tensor in (x, gain, shift):
         fd = fd_gradient(run, tensor.data)
         assert rel_err(tensor.grad, fd).max() < 1e-4
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       d=st.integers(2, 40), offset=st.floats(-1e3, 1e3),
+       spread=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_layer_norm_equals_the_numpy_mean_var_formula_bitwise(
+        lead, d, offset, spread, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((*lead, d)) * spread + offset
+    gain = rng.standard_normal(d)
+    shift = rng.standard_normal(d)
+    out = Tape(recording=False).layer_norm(Tensor(x), Tensor(gain), Tensor(shift))
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    expected = (x - mu) * (1.0 / np.sqrt(var + 1e-6)) * gain + shift
+    assert np.array_equal(out.data, expected)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from fractalvit.grid import GridSpec, build_layout
 from fractalvit.mask import build_fractal_mask
@@ -153,6 +154,18 @@ def test_posenc_zero_dim_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("table", [False, True])
+def test_posenc_bad_tau_exits_2(tmp_path, table):
+    out = tmp_path / "pe.csv"
+    for tau in ("0", "-1", "nan", "inf"):
+        result = fvit("posenc", "--scheme", "sincos2d", "--grid", "4x4",
+                      "--dim", "8", "--tau", tau, "--out", out,
+                      *(["--table"] if table else []))
+        assert result.returncode == 2, tau
+        assert "error: tau must be a positive finite number" in result.stderr
+        assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # train command
 # ----------------------------------------------------------------------
@@ -180,6 +193,15 @@ def test_train_non_finite_lr_exits_2(tmp_path):
         result = fvit(*train_args(tmp_path, lr=lr))
         assert result.returncode == 2, lr
         assert "error: lr must be a finite number" in result.stderr
+
+
+def test_train_bad_tau_exits_2(tmp_path):
+    # tau = 0 used to build a NaN sincos2d table and exit 0 as diverged
+    for tau in ("0", "-1", "nan", "inf"):
+        result = fvit(*train_args(tmp_path, tau=tau))
+        assert result.returncode == 2, tau
+        assert "error: tau must be a positive finite number" in result.stderr
+        assert not (tmp_path / "report.txt").exists()
 
 
 def test_train_lr_zero_keeps_initial_accuracy(tmp_path):

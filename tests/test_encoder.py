@@ -135,6 +135,9 @@ def test_config_rejects_bad_combinations():
         tiny_config(mask="sparse")
     with pytest.raises(ConfigError):
         tiny_config(scheme="fourier")
+    for tau in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tau"):
+            tiny_config(scheme="none", policy="none", tau=tau)  # unused, still checked
 
 
 def test_config_allows_alibi_and_register():

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fractalvit import harness
+from fractalvit import autodiff, harness
 from fractalvit.autodiff import Tape
-from fractalvit.encoder import EncoderConfig, batch_loss, init_params
+from fractalvit.encoder import EncoderConfig, batch_loss, init_params, save_checkpoint
 from fractalvit.errors import ConfigError
 from fractalvit.grid import GridSpec, build_layout
 from fractalvit.harness import (
@@ -263,6 +263,24 @@ def test_equal_eval_set_reports_the_same_bytes(monkeypatch):
     # the same bytes as evaluating the eval set separately every epoch
     monkeypatch.setattr(harness, "_same_samples", lambda a, b: False)
     assert shared == {outputs(None)}
+
+
+def test_attention_blocks_do_not_change_training_bytes(monkeypatch, tmp_path):
+    # alibi2d gives the (heads, n, n) table; a budget of one byte runs
+    # every image of every batch and of the evaluation as its own block
+    config = small_config(scheme="alibi2d")
+    ds = gen_marked_patch(GRID, 4, 12, 3)
+
+    def outputs(name):
+        params = init_params(config)
+        report = train(config, ds, epochs=3, lr=0.2, batch=5, params=params)
+        path = tmp_path / name
+        save_checkpoint(str(path), params)
+        return report.to_text(), report.to_csv(), path.read_bytes()
+
+    one_block = outputs("one.fvit")
+    monkeypatch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", 1)
+    assert outputs("per_image.fvit") == one_block
 
 
 # ----------------------------------------------------------------------

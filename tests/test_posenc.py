@@ -57,6 +57,15 @@ def test_d_not_divisible_by_four_rejected():
         sincos2d(4, 4, 6)
 
 
+@pytest.mark.parametrize("tau", [0.0, -2.0, float("nan"), float("inf")])
+def test_tau_that_is_not_positive_and_finite_rejected(tau):
+    with pytest.raises(ConfigError, match="tau must be a positive finite number"):
+        sincos2d(4, 4, 8, tau)
+    layout = build_layout(GridSpec(4, 4, 2, 1))
+    with pytest.raises(ConfigError, match="tau"):  # also where tau is unused
+        assemble_posenc("learned", layout, 8, seed=0, policy="register", tau=tau)
+
+
 # ----------------------------------------------------------------------
 # learned init
 # ----------------------------------------------------------------------
