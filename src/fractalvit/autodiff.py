@@ -1,18 +1,18 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The operation set is what the encoder needs: linear layers, axis
-permutation and one fused multi-head attention (``attention``: scaled
-scores, softmax under an additive bias table with -inf on excluded
-pairs, and the weighted sum of values, run in cache-sized blocks),
-trailing-shape additive broadcasting for biases, row slicing, gathering
-and concatenation, layer norm, exact-CDF GELU, and batched softmax
-cross-entropy. 2-D ``matmul``, ``swap_last``, ``slice_cols``, the
-single-row ``softmax_cross_entropy``, and the stacked ``bmm`` and
-``masked_softmax`` that ``attention`` fuses have no caller in the
-encoder; they stay because the benchmark's tracer
-(``fvbench/tracing.py``) wraps each of them by name. ``bmm`` and
-``masked_softmax`` are also the reference ``attention`` is tested
-against, bit for bit.
+The operation set is what the encoder needs: linear layers, one fused
+multi-head attention (``attention``: it lays the projected rows out by
+head, then runs scaled scores, softmax under an additive bias table with
+-inf on excluded pairs, and the weighted sum of values in cache-sized
+blocks), trailing-shape additive broadcasting for biases, row slicing,
+gathering and stacking, layer norm, exact-CDF GELU, and batched softmax
+cross-entropy. 2-D ``matmul``, ``transpose``, ``swap_last``,
+``slice_cols``, the single-row ``softmax_cross_entropy``, and the
+stacked ``bmm`` and ``masked_softmax`` that ``attention`` fuses have no
+caller in the encoder; they stay because the benchmark's tracer
+(``fvbench/tracing.py``) wraps each of them by name. ``reshape``,
+``transpose``, ``bmm`` and ``masked_softmax`` are also the reference
+``attention`` is tested against, bit for bit.
 
 Every op runs in float64. A ``Tape`` records the ops of one forward pass;
 ``Tape.backward`` replays the record once in reverse and accumulates
@@ -33,31 +33,27 @@ from .errors import ContractError, InvalidMaskError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-6  # added to the variance in layer_norm
 
 # Most score bytes one block of ``Tape.attention`` holds: one 14x14 image
 # (4 heads of 256 x 256 float64 scores), so a block's scores stay in cache
 # from the product through the softmax to the weighted sum. A block holds
-# at least one leading slice, however large.
+# at least one image, however large.
 ATTENTION_BLOCK_BYTES = 2 << 20
 
 
-def _softmax_in_place(p: np.ndarray, bias: np.ndarray,
-                      allowed: np.ndarray) -> None:
+def _softmax_in_place(p: np.ndarray, bias: np.ndarray) -> None:
     """Turn scaled logits ``p`` into softmax(p + bias) over the last axis.
 
-    ``allowed`` is ``bias != -inf``. Excluded entries come out as bitwise
-    0.0. exp runs on the allowed entries only: numpy's vector exp falls
-    back to a slow path for a lane that holds -inf, and exp(-inf) is 0
-    anyway. A row with no finite entry signals a malformed mask and
-    raises.
+    Entries where ``bias`` is -inf come out as exp(-inf), bitwise +0.0. A
+    row with no finite entry signals a malformed mask and raises.
     """
     p += bias
     top = p.max(axis=-1, keepdims=True)
     if top.min() == -np.inf:
         raise InvalidMaskError("softmax row with no allowed entries")
     p -= top
-    np.exp(p, out=p, where=allowed)
-    np.copyto(p, 0.0, where=~allowed)
+    np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
 
@@ -242,13 +238,9 @@ class Tape:
         self._push(out, pull)
         return out
 
-    def transpose(self, a: Tensor, axes=None) -> Tensor:
-        """Permute axes: ``axes`` as in ``np.transpose``; without it, the
-        transpose of a matrix. The result is C-contiguous."""
-        if axes is None:
-            if a.data.ndim != 2:
-                raise ShapeError(f"transpose expects a matrix, got {a.data.shape}")
-            axes = (1, 0)
+    def transpose(self, a: Tensor, axes) -> Tensor:
+        """Permute axes as ``np.transpose(a, axes)``; the result is
+        C-contiguous."""
         axes = tuple(axes)
         if sorted(axes) != list(range(a.data.ndim)):
             raise ShapeError(
@@ -304,21 +296,20 @@ class Tape:
         self._push(out, pull)
         return out
 
-    def concat(self, parts: list[Tensor], axis: int = 0) -> Tensor:
-        if axis not in (0, 1) or not parts:
-            raise ShapeError("concat needs a non-empty list and axis 0 or 1")
+    def concat(self, parts: list[Tensor]) -> Tensor:
+        """Stack the rows of matrices that share a column count."""
+        if not parts:
+            raise ShapeError("concat needs a non-empty list")
         for p in parts:
             if p.data.ndim != 2:
                 raise ShapeError(f"concat expects matrices, got {p.data.shape}")
-        out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=axis))
-        sizes = [p.data.shape[axis] for p in parts]
+        out = Tensor._wrap(np.concatenate([p.data for p in parts]))
 
         def pull(g, accum):
             start = 0
-            for p, size in zip(parts, sizes):
-                sl = (slice(start, start + size), slice(None)) if axis == 0 \
-                    else (slice(None), slice(start, start + size))
-                accum(p, g[sl])
+            for p in parts:
+                size = p.data.shape[0]
+                accum(p, g[start:start + size])
                 start += size
 
         self._push(out, pull)
@@ -375,10 +366,9 @@ class Tape:
         self._push(out, pull)
         return out
 
-    def layer_norm(self, x: Tensor, gain: Tensor, shift: Tensor,
-                   eps: float = 1e-6) -> Tensor:
-        """Normalize the last axis to zero mean / unit population variance,
-        then apply the affine ``gain * xhat + shift``."""
+    def layer_norm(self, x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
+        """Normalize the last axis to zero mean / unit population variance
+        (plus ``_LN_EPS``), then apply the affine ``gain * xhat + shift``."""
         d = x.data.shape[-1]
         if d < 2:
             raise ContractError("layer_norm needs at least 2 features")
@@ -390,7 +380,7 @@ class Tape:
         # numpy's mean and population var, with the centering done once
         xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
         var = np.add.reduce(xc * xc, -1, keepdims=True) / d
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + _LN_EPS)
         xhat = xc * inv
         out = Tensor._wrap(xhat * gain.data + shift.data)
 
@@ -435,7 +425,7 @@ class Tape:
                 f"bias shape {bias.shape} does not match logits {logits.data.shape}"
             )
         p = logits.data * scale
-        _softmax_in_place(p, bias, bias != -np.inf)
+        _softmax_in_place(p, bias)
         out = Tensor._wrap(p)
 
         def pull(g, accum):
@@ -447,66 +437,88 @@ class Tape:
         self._push(out, pull)
         return out
 
-    def attention(self, q: Tensor, k_t: Tensor, v: Tensor, bias: np.ndarray,
-                  scale: float) -> Tensor:
-        """softmax(scale * q @ k_t + bias) @ v over stacks of rank >= 3.
+    def attention(self, q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
+                  heads: int) -> Tensor:
+        """Multi-head attention over b stacked sequences of n tokens.
 
-        q is (L, ..., n, dk), k_t (L, ..., dk, m) and v (L, ..., m, dv);
-        ``bias`` is one constant table over the trailing axes of a leading
-        slice's (..., n, m) scores, with -inf on excluded entries. The
-        leading axis runs in blocks of at most ``ATTENTION_BLOCK_BYTES`` of
-        scores, so the scores never exist for the whole stack at once. Each
-        slice goes through the same matmuls and row reductions as
-        ``bmm`` -> ``masked_softmax`` -> ``bmm``, so the output and the
-        gradients equal that composition's bit for bit.
+        q, k and v are the (b*n, d) rows of the three projections; head i
+        owns columns [i*dh, (i+1)*dh) with dh = d // heads. ``bias`` is a
+        constant (heads, n, n) or (n, n) table with -inf on excluded pairs;
+        its last axis gives n. Each head computes
+        softmax(q_i @ k_iᵀ / sqrt(dh) + bias) @ v_i, and the result is the
+        heads merged back into (b*n, d) rows. Images run in blocks of at
+        most ``ATTENTION_BLOCK_BYTES`` of scores, so the scores never exist
+        for the whole batch at once.
+
+        The output and the gradients equal those of reshape -> transpose
+        -> ``bmm`` -> ``masked_softmax`` -> ``bmm`` -> transpose -> reshape
+        bit for bit: each block runs the same matmuls and row reductions,
+        and the adjoints are added in that composition's order.
         """
-        qd, kd, vd = q.data, k_t.data, v.data
-        lead = qd.shape[:-2]
-        if (
-            qd.ndim < 3 or kd.ndim != qd.ndim or vd.ndim != qd.ndim
-            or kd.shape[:-2] != lead or vd.shape[:-2] != lead
-            or kd.shape[-2] != qd.shape[-1] or vd.shape[-2] != kd.shape[-1]
-        ):
+        qd, kd, vd = q.data, k.data, v.data
+        if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
             raise ShapeError(
-                f"attention: shapes {qd.shape}, {kd.shape} and {vd.shape} "
-                "do not chain"
+                f"attention: q, k and v must be equal (rows, d) matrices, got "
+                f"{qd.shape}, {kd.shape} and {vd.shape}"
             )
+        rows, d = qd.shape
+        if heads < 1 or d % heads:
+            raise ShapeError(f"attention: d={d} does not split into {heads} heads")
         bias = np.asarray(bias, dtype=np.float64)
-        scores = (*lead[1:], qd.shape[-2], kd.shape[-1])
-        if bias.ndim > len(scores) or bias.shape != scores[len(scores) - bias.ndim:]:
+        n = bias.shape[-1] if bias.ndim else 0
+        if bias.shape not in ((n, n), (heads, n, n)) or n < 1 or rows % n:
             raise ShapeError(
-                f"attention: bias shape {bias.shape} does not match the "
-                f"scores {scores} of one leading slice"
+                f"attention: bias shape {bias.shape} does not fit {heads} heads "
+                f"over sequences that split {rows} rows"
             )
-        allowed = bias != -np.inf
-        step = max(1, ATTENTION_BLOCK_BYTES // (8 * math.prod(scores)))
-        blocks = [slice(i, i + step) for i in range(0, lead[0], step)]
-        out_data = np.empty((*lead, qd.shape[-2], vd.shape[-1]))
+        b, dh = rows // n, d // heads
+        scale = 1.0 / np.sqrt(dh)
+
+        def split(x: np.ndarray, axes) -> np.ndarray:
+            """(b*n, d) rows as a contiguous (b, n, h, dh) stack permuted
+            by ``axes``."""
+            return np.ascontiguousarray(x.reshape(b, n, heads, dh).transpose(axes))
+
+        def merge(stack: np.ndarray, axes) -> np.ndarray:
+            """A stack that ``axes`` permutes to (b, n, h, dh), as
+            contiguous (b*n, d) rows."""
+            return np.ascontiguousarray(stack.transpose(axes)).reshape(rows, d)
+
+        # Queries and values as (b, h, n, dh), keys already transposed to
+        # (b, h, dh, n): a transpose inside the product would run another
+        # BLAS kernel, whose bits may differ. (0, 2, 1, 3) is its own inverse.
+        qh = split(qd, (0, 2, 1, 3))
+        kh = split(kd, (0, 2, 3, 1))
+        vh = split(vd, (0, 2, 1, 3))
+        step = max(1, ATTENTION_BLOCK_BYTES // (8 * heads * n * n))
+        blocks = [slice(i, i + step) for i in range(0, b, step)]
+        out_heads = np.empty_like(qh)
         probs = []
         for sl in blocks:
-            p = qd[sl] @ kd[sl]
+            p = qh[sl] @ kh[sl]
             p *= scale
-            _softmax_in_place(p, bias, allowed)
-            np.matmul(p, vd[sl], out=out_data[sl])
+            _softmax_in_place(p, bias)
+            np.matmul(p, vh[sl], out=out_heads[sl])
             if self.recording:
                 probs.append(p)
-        out = Tensor._wrap(out_data)
+        out = Tensor._wrap(merge(out_heads, (0, 2, 1, 3)))
 
         def pull(g, accum):
-            dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+            gh = split(g, (0, 2, 1, 3))
+            dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
             for sl, p in zip(blocks, probs):
-                gs = g[sl]
-                dz = gs @ vd[sl].swapaxes(-1, -2)
+                gs = gh[sl]
+                dz = gs @ vh[sl].swapaxes(-1, -2)
                 np.matmul(p.swapaxes(-1, -2), gs, out=dv[sl])
                 dz -= (dz * p).sum(axis=-1, keepdims=True)
                 dz *= p  # exactly zero on excluded entries
                 dz *= scale
-                np.matmul(dz, kd[sl].swapaxes(-1, -2), out=dq[sl])
-                np.matmul(qd[sl].swapaxes(-1, -2), dz, out=dk[sl])
+                np.matmul(dz, kh[sl].swapaxes(-1, -2), out=dq[sl])
+                np.matmul(qh[sl].swapaxes(-1, -2), dz, out=dk[sl])
             # the composition's order, which matters when inputs coincide
-            accum(v, dv, owned=True)
-            accum(q, dq, owned=True)
-            accum(k_t, dk, owned=True)
+            accum(v, merge(dv, (0, 2, 1, 3)), owned=True)
+            accum(q, merge(dq, (0, 2, 1, 3)), owned=True)
+            accum(k, merge(dk, (0, 3, 1, 2)), owned=True)
 
         self._push(out, pull)
         return out

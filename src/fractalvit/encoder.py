@@ -3,9 +3,10 @@ masked multi-head attention blocks with optional distance biases, and a
 classification head read from the global token.
 
 There is one forward path, over a stacked batch of images; ``forward`` is
-that path on a batch of one. All heads of a layer run as one fused
-``Tape.attention`` over (batch, heads, n, n) scores, and the mask and the
-ALiBi biases enter it as one additive table built with the params.
+that path on a batch of one. A block is LN, the q, k and v projections,
+one fused ``Tape.attention`` that lays out and runs all heads, the output
+projection, and the MLP; the mask and the ALiBi biases enter the
+attention as one additive table built with the params.
 
 Everything runs in float64 through the tape engine; a forward pass on a
 non-recording tape is plain inference.
@@ -235,33 +236,16 @@ def extract_patches(image: np.ndarray, config: EncoderConfig) -> np.ndarray:
     )
 
 
-def _attention_block(x: Tensor, layer: int, b: int, params: EncoderParams,
+def _attention_block(x: Tensor, layer: int, params: EncoderParams,
                      tape: Tape) -> Tensor:
-    """Pre-norm block over b stacked sequences of n tokens, x being
-    (b*n, d): x + MHA(LN(x)), then + MLP(LN(.)). The heads run as one
-    (b, h, n, n) attention under the params' bias table. Keys enter it
-    already transposed, (b, h, dh, n): a transpose inside the product
-    would run another BLAS kernel, whose bits may differ."""
-    cfg = params.config
+    """Pre-norm block over stacked sequences of tokens, x being (b*n, d):
+    x + MHA(LN(x)), then + MLP(LN(.)). All heads run in one
+    ``Tape.attention`` under the params' bias table."""
     p = f"layer{layer}."
-    d, h = cfg.d, cfg.n_heads
-    dh = d // h
-    n = x.data.shape[0] // b
-
     ln = tape.layer_norm(x, params.t(p + "ln1_gain"), params.t(p + "ln1_shift"))
-
-    def split_heads(weight: str, axes) -> Tensor:
-        """Project, then lay the heads out as (b, n, h, dh) permuted by axes."""
-        proj = tape.linear(ln, params.t(p + weight))
-        return tape.transpose(tape.reshape(proj, (b, n, h, dh)), axes)
-
-    q = split_heads("wq", (0, 2, 1, 3))
-    k_t = split_heads("wk", (0, 2, 3, 1))
-    v = split_heads("wv", (0, 2, 1, 3))
-    attn = tape.attention(q, k_t, v, params.attn_bias, 1.0 / np.sqrt(dh))
-    heads = tape.transpose(attn, (0, 2, 1, 3))
-    merged = tape.reshape(heads, (b * n, d))
-    x = tape.add(x, tape.linear(merged, params.t(p + "wo")))
+    q, k, v = (tape.linear(ln, params.t(p + w)) for w in ("wq", "wk", "wv"))
+    attn = tape.attention(q, k, v, params.attn_bias, params.config.n_heads)
+    x = tape.add(x, tape.linear(attn, params.t(p + "wo")))
 
     h2 = tape.layer_norm(x, params.t(p + "ln2_gain"), params.t(p + "ln2_shift"))
     m = tape.gelu(tape.linear(h2, params.t(p + "mlp_w1"), params.t(p + "mlp_b1")))
@@ -269,12 +253,11 @@ def _attention_block(x: Tensor, layer: int, b: int, params: EncoderParams,
     return tape.add(x, m)
 
 
-def forward(image: np.ndarray, config: EncoderConfig, params: EncoderParams,
-            tape: Tape | None = None) -> Tensor:
+def forward(image: np.ndarray, config: EncoderConfig,
+            params: EncoderParams) -> Tensor:
     """Class logits (n_classes,) of one image: ``forward_batch`` on a
-    batch of one."""
-    if tape is None:
-        tape = Tape(recording=False)
+    batch of one, without recording."""
+    tape = Tape(recording=False)
     logits = forward_batch([image], config, params, tape)
     return tape.reshape(logits, (config.n_classes,))
 
@@ -306,12 +289,12 @@ def forward_batch(images, config: EncoderConfig, params: EncoderParams,
         if layout.n_additional > 0:
             parts.append(params.t("summary_init"))
         parts.append(params.t("global_token"))
-    seq = tape.concat(parts, axis=0)
+    seq = tape.concat(parts)
     pos = params.t("posenc")
-    x = tape.add(seq, tape.concat([pos] * b, axis=0) if b > 1 else pos)
+    x = tape.add(seq, tape.concat([pos] * b) if b > 1 else pos)
 
     for layer in range(config.n_layers):
-        x = _attention_block(x, layer, b, params, tape)
+        x = _attention_block(x, layer, params, tape)
     x = tape.layer_norm(x, params.t("final_gain"), params.t("final_shift"))
     pooled = tape.gather_rows(x, [i * n + layout.global_index for i in range(b)])
     return tape.linear(pooled, params.t("head_w"), params.t("head_b"))

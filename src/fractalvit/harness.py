@@ -77,16 +77,14 @@ def gen_marked_patch(grid: GridSpec, patch_size: int, count: int,
     return ToyDataset(samples, "marked", seed, n, grid, patch_size)
 
 
-def enumerate_marked_patch_eval(grid: GridSpec, patch_size: int,
-                                repeats: int = 1) -> ToyDataset:
-    """Every marker position, ``repeats`` times; the exact-cap eval set."""
+def enumerate_marked_patch_eval(grid: GridSpec, patch_size: int) -> ToyDataset:
+    """Every marker position once, in order; the exact-cap eval set."""
     n = grid.n_h * grid.n_w
     samples = []
-    for _ in range(repeats):
-        for pos in range(n):
-            image = _blank_image(grid, patch_size)
-            _paint(image, pos, grid, patch_size)
-            samples.append((image, pos))
+    for pos in range(n):
+        image = _blank_image(grid, patch_size)
+        _paint(image, pos, grid, patch_size)
+        samples.append((image, pos))
     return ToyDataset(samples, "marked", 0, n, grid, patch_size)
 
 
@@ -395,15 +393,16 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
 # symmetry probes
 # ----------------------------------------------------------------------
 
-def randomize_params(params: EncoderParams, rng: Rng, std: float = 0.2) -> None:
-    """Overwrite every trainable tensor with generic random values.
+def randomize_params(params: EncoderParams, rng: Rng) -> None:
+    """Overwrite every trainable tensor with generic random values: normal
+    draws of std 0.2.
 
     Layer-norm gains get 1 + noise so no feature direction collapses.
     The symmetry and gradient probes need this because the standard init
     zeroes the classifier head, which pins all logits to zero.
     """
     for name, tensor, row_mask in params.trainable_items():
-        draw = rng.normal_array(tensor.data.shape, std=std)
+        draw = rng.normal_array(tensor.data.shape, std=0.2)
         if name.endswith("_gain") or name.endswith("gain"):
             draw = 1.0 + draw
         if row_mask is None:

@@ -46,6 +46,8 @@ def sincos2d(h: int, w: int, d: int, tau: float = 10000.0) -> np.ndarray:
     column, with interleaved sin/cos pairs at frequencies tau**(-4i/d).
     """
     check_tau(tau)
+    if h < 1 or w < 1:
+        raise ConfigError(f"sincos2d needs a grid of at least 1x1, got {h}x{w}")
     if d < 4 or d % 4 != 0:
         raise ConfigError(f"sincos2d needs a positive d divisible by 4, got {d}")
     n_freq = d // 4

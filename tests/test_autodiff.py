@@ -193,70 +193,90 @@ def test_masked_softmax_grads_match_finite_differences():
 # fused attention
 # ----------------------------------------------------------------------
 
-def attention_case(rng, lead, n, m, dk, dv, bias_shape):
-    """Random q, k_t, v stacks and a bias table with -inf on some entries
-    but none on a whole row."""
-    q = rng.standard_normal((*lead, n, dk))
-    k_t = rng.standard_normal((*lead, dk, m))
-    v = rng.standard_normal((*lead, m, dv))
+def attention_case(rng, images, heads, n, dh, bias_shape):
+    """Random (images*n, heads*dh) q, k and v rows and a bias table with
+    -inf on some entries but none on a whole row."""
+    q, k, v = (rng.standard_normal((images * n, heads * dh)) for _ in range(3))
     allowed = rng.random(bias_shape) < 0.6
-    allowed[..., rng.integers(m)] = True
+    allowed[..., rng.integers(n)] = True
     bias = np.where(allowed, rng.standard_normal(bias_shape), -np.inf)
-    return q, k_t, v, bias
+    return q, k, v, bias
 
 
-def attention_both_ways(q, k_t, v, bias, scale, weights):
-    """(output, q.grad, k_t.grad, v.grad) of ``attention`` and of the
-    ``bmm`` -> ``masked_softmax`` -> ``bmm`` composition it fuses, under
-    the loss sum(out * weights)."""
+def composed_attention(t, q, k, v, bias, heads):
+    """The attention op spelled out in tape primitives: split the rows into
+    per-head stacks (keys transposed), ``bmm`` -> ``masked_softmax`` ->
+    ``bmm``, and merge the heads back into rows.
+
+    Keys are split before queries and values last, so a shared input
+    receives its adjoints in the op's order: v, then q, then k.
+    """
+    n = bias.shape[-1]
+    (rows, d), dh = q.shape, q.shape[1] // heads
+    b = rows // n
+
+    def split(x, axes):
+        return t.transpose(t.reshape(x, (b, n, heads, dh)), axes)
+
+    k_t = split(k, (0, 2, 3, 1))
+    scores = t.bmm(split(q, (0, 2, 1, 3)), k_t)
+    p = t.masked_softmax(scores, bias, 1.0 / np.sqrt(dh))
+    heads_out = t.bmm(p, split(v, (0, 2, 1, 3)))
+    return t.reshape(t.transpose(heads_out, (0, 2, 1, 3)), (rows, d))
+
+
+def attention_both_ways(q, k, v, bias, heads, weights):
+    """(output, q.grad, k.grad, v.grad) of ``attention`` and of the
+    composition it fuses, under the loss sum(out * weights)."""
     results = []
     for fused in (True, False):
-        tq, tk, tv = Tensor(q), Tensor(k_t), Tensor(v)
+        tq, tk, tv = Tensor(q), Tensor(k), Tensor(v)
         t = Tape()
         if fused:
-            out = t.attention(tq, tk, tv, bias, scale)
+            out = t.attention(tq, tk, tv, bias, heads)
         else:
-            out = t.bmm(t.masked_softmax(t.bmm(tq, tk), bias, scale), tv)
+            out = composed_attention(t, tq, tk, tv, bias, heads)
         t.backward(t.sum_all(t.mul(out, Tensor(weights))))
         results.append((out.data, tq.grad, tk.grad, tv.grad))
     return results
 
 
 def assert_bitwise_equal(fused, composed):
-    for name, a, b in zip(("out", "q", "k_t", "v"), fused, composed):
+    for name, a, b in zip(("out", "q", "k", "v"), fused, composed):
         assert a.shape == b.shape, name
         assert np.array_equal(a, b), name  # every bit, not a tolerance
 
 
-BLOCK = 3  # leading slices per block under the patched budget
+BLOCK = 3  # images per block under the patched budget
 
 
-@pytest.mark.parametrize("bias_rank", [3, 2])  # ALiBi (h, n, m), plain (n, m)
+@pytest.mark.parametrize("bias_rank", [3, 2])  # ALiBi (h, n, n), plain (n, n)
 @pytest.mark.parametrize("images", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_attention_equals_the_composition_bitwise(monkeypatch, images, bias_rank):
-    h, n, m, dk, dv = 2, 7, 7, 4, 3
-    monkeypatch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", BLOCK * h * n * m * 8)
-    rng = np.random.default_rng(100 + images)
-    q, k_t, v, bias = attention_case(rng, (images, h), n, m, dk, dv,
-                                     (h, n, m)[3 - bias_rank:])
-    weights = rng.standard_normal((images, h, n, dv))
-    fused, composed = attention_both_ways(q, k_t, v, bias, 0.5, weights)
-    assert_bitwise_equal(fused, composed)
+    n, dh = 7, 3
+    for heads in (1, 2, 4):
+        monkeypatch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", BLOCK * heads * n * n * 8)
+        rng = np.random.default_rng(100 + 10 * images + heads)
+        q, k, v, bias = attention_case(rng, images, heads, n, dh,
+                                       (heads, n, n)[3 - bias_rank:])
+        weights = rng.standard_normal(q.shape)
+        fused, composed = attention_both_ways(q, k, v, bias, heads, weights)
+        assert_bitwise_equal(fused, composed)
 
 
 def test_attention_shared_input_accumulates_like_the_composition():
-    # self-attention on one tensor: q, k_t and v are the same leaf, so the
+    # self-attention on one tensor: q, k and v are the same leaf, so the
     # order the three adjoints are added in shows in the last bits
     rng = np.random.default_rng(8)
-    x = rng.standard_normal((2, 2, 4, 4))
+    x = rng.standard_normal((8, 8))
     bias = np.zeros((4, 4))
-    weights = rng.standard_normal((2, 2, 4, 4))
+    weights = rng.standard_normal((8, 8))
     grads = []
     for fused in (True, False):
         tx = Tensor(x)
         t = Tape()
-        out = t.attention(tx, tx, tx, bias, 0.5) if fused \
-            else t.bmm(t.masked_softmax(t.bmm(tx, tx), bias, 0.5), tx)
+        out = t.attention(tx, tx, tx, bias, 2) if fused \
+            else composed_attention(t, tx, tx, tx, bias, 2)
         t.backward(t.sum_all(t.mul(out, Tensor(weights))))
         grads.append(tx.grad)
     assert np.array_equal(*grads)
@@ -265,49 +285,49 @@ def test_attention_shared_input_accumulates_like_the_composition():
 def test_attention_all_masked_row_raises(monkeypatch):
     monkeypatch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", 1)
     bias = mask_bias(np.array([[True, True], [False, False]]))
-    q, k_t, v = (Tensor(np.zeros((3, 2, 2))) for _ in range(3))
+    q, k, v = (Tensor(np.zeros((6, 2))) for _ in range(3))
     with pytest.raises(InvalidMaskError):
-        Tape().attention(q, k_t, v, bias, 1.0)
+        Tape().attention(q, k, v, bias, 1)
 
 
 def test_attention_rejects_shapes_that_do_not_chain():
     t = Tape()
-    q = Tensor(np.zeros((2, 3, 4)))
-    k_t = Tensor(np.zeros((2, 4, 5)))
-    v = Tensor(np.zeros((2, 5, 6)))
-    assert t.attention(q, k_t, v, np.zeros((3, 5)), 1.0).shape == (2, 3, 6)
+    x = Tensor(np.zeros((6, 4)))
+    assert t.attention(x, x, x, np.zeros((3, 3)), 2).shape == (6, 4)
+    assert t.attention(x, x, x, np.zeros((2, 3, 3)), 2).shape == (6, 4)
+    with pytest.raises(ShapeError, match="heads"):  # d % heads != 0
+        t.attention(x, x, x, np.zeros((3, 3)), 3)
     with pytest.raises(ShapeError):
-        t.attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))),
-                    Tensor(np.zeros((5, 6))), np.zeros((3, 5)), 1.0)  # rank 2
-    with pytest.raises(ShapeError):
-        t.attention(q, Tensor(np.zeros((2, 3, 5))), v, np.zeros((3, 5)), 1.0)
-    with pytest.raises(ShapeError):
-        t.attention(q, k_t, Tensor(np.zeros((2, 4, 6))), np.zeros((3, 5)), 1.0)
-    with pytest.raises(ShapeError):
-        t.attention(q, k_t, Tensor(np.zeros((1, 5, 6))), np.zeros((3, 5)), 1.0)
-    with pytest.raises(ShapeError):
-        t.attention(q, k_t, v, np.zeros((5, 3)), 1.0)
-    with pytest.raises(ShapeError):  # a table over the leading axis too
-        t.attention(q, k_t, v, np.zeros((2, 3, 5)), 1.0)
+        t.attention(x, x, x, np.zeros((3, 3)), 0)
+    with pytest.raises(ShapeError):  # 6 rows do not split into sequences of 4
+        t.attention(x, x, x, np.zeros((4, 4)), 2)
+    other = Tensor(np.zeros((6, 2)))
+    for q, k, v in ((other, x, x), (x, other, x), (x, x, other)):
+        with pytest.raises(ShapeError):  # q, k and v differ
+            t.attention(q, k, v, np.zeros((3, 3)), 2)
+    with pytest.raises(ShapeError):  # rows, not stacks
+        t.attention(*(Tensor(np.zeros((2, 3, 4))) for _ in range(3)),
+                    np.zeros((3, 3)), 2)
+    for bias in (np.zeros((3, 2)), np.zeros((3, 3, 3)), np.zeros((1, 2, 3, 3)),
+                 np.zeros(3), np.zeros(())):
+        with pytest.raises(ShapeError):  # a bias that fits no head layout
+            t.attention(x, x, x, bias, 2)
 
 
 @settings(max_examples=25, deadline=None)
-@given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
-       n=st.integers(1, 5), m=st.integers(1, 5), dk=st.integers(1, 4),
-       dv=st.integers(1, 4), table_rank=st.integers(1, 3),
-       per_block=st.integers(0, 5), scale=st.floats(0.1, 3.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_attention_property(lead, n, m, dk, dv, table_rank, per_block, scale, seed):
-    scores = (*lead[1:], n, m)
-    table = scores[max(0, len(scores) - table_rank):]
+@given(images=st.integers(1, 5), heads=st.integers(1, 4), n=st.integers(1, 5),
+       dh=st.integers(1, 4), table_rank=st.integers(2, 3),
+       per_block=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_attention_property(images, heads, n, dh, table_rank, per_block, seed):
     rng = np.random.default_rng(seed)
-    q, k_t, v, bias = attention_case(rng, lead, n, m, dk, dv, table)
-    weights = rng.standard_normal((*lead, n, dv))
-    # a budget of per_block leading slices; 0 is below one slice
-    budget = per_block * math.prod(scores) * 8
+    q, k, v, bias = attention_case(rng, images, heads, n, dh,
+                                   (heads, n, n)[3 - table_rank:])
+    weights = rng.standard_normal(q.shape)
+    # a budget of per_block images; 0 is below one image
+    budget = per_block * heads * n * n * 8
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", budget)
-        fused, composed = attention_both_ways(q, k_t, v, bias, scale, weights)
+        fused, composed = attention_both_ways(q, k, v, bias, heads, weights)
     assert_bitwise_equal(fused, composed)
 
 
@@ -322,12 +342,12 @@ def test_layer_norm_constant_row_is_zero():
 
 
 def test_layer_norm_already_normalized_row():
-    # population variance of [-1, 1] is exactly 1, so eps=0 reproduces it
+    # population variance of [-1, 1] is exactly 1, so only the 1e-6 added
+    # to it moves the row
     t = Tape()
-    out = t.layer_norm(
-        Tensor([[-1.0, 1.0]]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), eps=0.0
-    )
-    assert np.array_equal(out.data, [[-1.0, 1.0]])
+    out = t.layer_norm(Tensor([[-1.0, 1.0]]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
+    inv = 1.0 / np.sqrt(1.0 + 1e-6)
+    assert np.array_equal(out.data, [[-inv, inv]])
 
 
 def test_layer_norm_needs_two_features():
@@ -534,7 +554,7 @@ def test_linear_matches_explicit_composition():
     b = Tensor(rng.standard_normal(4))
     t = Tape()
     fused = t.linear(x, w, b)
-    explicit = t.add(t.matmul(x, t.transpose(w)), b)
+    explicit = t.add(t.matmul(x, t.transpose(w, (1, 0))), b)
     assert np.allclose(fused.data, explicit.data, atol=1e-15)
     t.backward(t.sum_all(fused))
     notape = Tape(recording=False)
@@ -553,14 +573,15 @@ def test_slice_concat_transpose_reshape_roundtrip_grads():
     t = Tape()
     left = t.slice_cols(x, 0, 3)
     right = t.slice_cols(x, 3, 6)
-    rebuilt = t.concat([left, right], axis=1)
-    assert np.array_equal(rebuilt.data, x.data)
-    top = t.slice_rows(rebuilt, 0, 2)
-    flipped = t.transpose(top)
+    stacked = t.concat([left, right])  # (8, 3): the left half over the right
+    assert np.array_equal(stacked.data, np.concatenate([x.data[:, :3], x.data[:, 3:]]))
+    top = t.slice_rows(stacked, 2, 6)  # rows 2-3 of each half
+    flipped = t.transpose(top, (1, 0))
     flat = t.reshape(flipped, (12,))
     t.backward(t.sum_all(flat))
     expected = np.zeros((4, 6))
-    expected[:2, :] = 1.0
+    expected[2:, :3] = 1.0
+    expected[:2, 3:] = 1.0
     assert np.array_equal(x.grad, expected)
 
 
@@ -574,7 +595,7 @@ def test_transpose_axes_and_inverse_pull():
     t.backward(t.sum_all(t.mul(out, Tensor(weights))))
     assert np.array_equal(x.grad, weights.transpose(1, 2, 0))
     with pytest.raises(ShapeError):
-        t.transpose(x)  # no axes: matrices only
+        t.transpose(x, (1, 0))  # too few axes
     with pytest.raises(ShapeError):
         t.transpose(x, (0, 1, 1))
 
@@ -747,7 +768,7 @@ def test_masked_softmax_property(lead, rows, cols, table_rank, scale, seed):
 
 PRIMITIVE_CASES = (
     "linear", "linear_bias", "layer_norm", "gelu", "concat_rows",
-    "concat_cols", "gather_rows", "slice_rows", "softmax_cross_entropy_rows",
+    "gather_rows", "slice_rows", "softmax_cross_entropy_rows",
 )
 
 
@@ -770,9 +791,7 @@ def primitive_case(op, rng, a, b, c):
     if op == "gelu":
         return [normal(a, b)], lambda t, x: t.gelu(x)
     if op == "concat_rows":
-        return [normal(a, b), normal(c, b)], lambda t, x, y: t.concat([x, y], axis=0)
-    if op == "concat_cols":
-        return [normal(a, b), normal(a, c)], lambda t, x, y: t.concat([x, y], axis=1)
+        return [normal(a, b), normal(c, b)], lambda t, x, y: t.concat([x, y])
     if op == "gather_rows":
         indices = rng.integers(0, a, size=a + c)  # more picks than rows repeat
         return [normal(a, b)], lambda t, x: t.gather_rows(x, indices)

@@ -154,6 +154,16 @@ def test_posenc_zero_dim_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0x4", "4x0"])
+def test_posenc_empty_grid_exits_2(tmp_path, grid):
+    out = tmp_path / "pe.csv"
+    result = fvit("posenc", "--scheme", "sincos2d", "--grid", grid,
+                  "--out", out)
+    assert result.returncode == 2
+    assert f"error: sincos2d needs a grid of at least 1x1, got {grid}" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("table", [False, True])
 def test_posenc_bad_tau_exits_2(tmp_path, table):
     out = tmp_path / "pe.csv"

@@ -285,7 +285,7 @@ def test_single_token_attention_reduces_to_projections():
     )
     x = Tensor(np.random.default_rng(7).standard_normal((1, config.d)))
     tape = Tape(recording=False)
-    out = _attention_block(x, 0, 1, single, tape)
+    out = _attention_block(x, 0, single, tape)
 
     ln = tape.layer_norm(
         x, params.t("layer0.ln1_gain"), params.t("layer0.ln1_shift")

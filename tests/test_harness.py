@@ -75,8 +75,9 @@ def test_marked_patch_eval_enumeration():
     ev = enumerate_marked_patch_eval(GRID, 4)
     assert len(ev) == 16
     assert [label for _, label in ev.samples] == list(range(16))
-    ev2 = enumerate_marked_patch_eval(GRID, 4, repeats=3)
-    assert len(ev2) == 48
+    for pos, (image, label) in enumerate(ev.samples):
+        lit = np.argwhere((image != harness.BACKGROUND).any(axis=-1))
+        assert {(i // 4) * GRID.n_w + j // 4 for i, j in lit} == {pos}
 
 
 def test_pair_labels_by_block():

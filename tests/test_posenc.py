@@ -57,6 +57,12 @@ def test_d_not_divisible_by_four_rejected():
         sincos2d(4, 4, 6)
 
 
+@pytest.mark.parametrize("h, w", [(0, 4), (4, 0), (0, 0), (-1, 4)])
+def test_empty_grid_rejected(h, w):
+    with pytest.raises(ConfigError, match=f"at least 1x1, got {h}x{w}"):
+        sincos2d(h, w, 8)
+
+
 @pytest.mark.parametrize("tau", [0.0, -2.0, float("nan"), float("inf")])
 def test_tau_that_is_not_positive_and_finite_rejected(tau):
     with pytest.raises(ConfigError, match="tau must be a positive finite number"):
