@@ -46,11 +46,12 @@ def _softmax_in_place(p: np.ndarray, bias: np.ndarray) -> None:
     """Turn scaled logits ``p`` into softmax(p + bias) over the last axis.
 
     Entries where ``bias`` is -inf come out as exp(-inf), bitwise +0.0. A
-    row with no finite entry signals a malformed mask and raises.
+    bias row with no finite entry signals a malformed mask and raises; a
+    row whose allowed logits overflowed to -inf comes out NaN.
     """
     p += bias
     top = p.max(axis=-1, keepdims=True)
-    if top.min() == -np.inf:
+    if top.min() == -np.inf and np.isneginf(bias).all(axis=-1).any():
         raise InvalidMaskError("softmax row with no allowed entries")
     p -= top
     np.exp(p, out=p)

@@ -12,6 +12,7 @@ config file or flag sets one.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -170,6 +171,9 @@ def write_text(path: str, text: str) -> None:
 
 
 def check_assertions(value: float, args) -> None:
+    if math.isnan(value) and (args.assert_max is not None
+                              or args.assert_min is not None):
+        raise AssertionFlagError(f"value {value!r} is not a number")
     if args.assert_max is not None and value > args.assert_max:
         raise AssertionFlagError(
             f"value {value!r} exceeds --assert-max {args.assert_max!r}"
@@ -319,9 +323,20 @@ def _add_config_flags(sub, keys) -> None:
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
+def _finite_float(text: str) -> float:
+    """An assertion bound: a finite number, or argparse exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_assert_flags(sub) -> None:
-    sub.add_argument("--assert-max", type=float, default=None)
-    sub.add_argument("--assert-min", type=float, default=None)
+    sub.add_argument("--assert-max", type=_finite_float, default=None)
+    sub.add_argument("--assert-min", type=_finite_float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,12 @@ masked multi-head attention blocks with optional distance biases, and a
 classification head read from the global token.
 
 There is one forward path, over a stacked batch of images; ``forward`` is
-that path on a batch of one. A block is LN, the q, k and v projections,
-one fused ``Tape.attention`` that lays out and runs all heads, the output
-projection, and the MLP; the mask and the ALiBi biases enter the
-attention as one additive table built with the params.
+that path on a batch of one. It is a fold over ``forward_stages``: embed,
+then per layer an attention sublayer (LN, the q, k and v projections, one
+fused ``Tape.attention`` that lays out and runs all heads, the output
+projection, the residual add) and an MLP sublayer, then the head. The mask
+and the ALiBi biases enter the attention as one additive table built with
+the params.
 
 Everything runs in float64 through the tape engine; a forward pass on a
 non-recording tape is plain inference.
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -236,21 +240,101 @@ def extract_patches(image: np.ndarray, config: EncoderConfig) -> np.ndarray:
     )
 
 
-def _attention_block(x: Tensor, layer: int, params: EncoderParams,
-                     tape: Tape) -> Tensor:
-    """Pre-norm block over stacked sequences of tokens, x being (b*n, d):
-    x + MHA(LN(x)), then + MLP(LN(.)). All heads run in one
-    ``Tape.attention`` under the params' bias table."""
-    p = f"layer{layer}."
+class Stage(NamedTuple):
+    """One step of the forward: ``run(x, params, tape)`` maps the stage's
+    input to its output, reading the parameter tensors named in ``reads``
+    and no others."""
+
+    reads: tuple[str, ...]
+    run: Callable[[Tensor, EncoderParams, Tape], Tensor]
+
+
+def patch_rows(images, config: EncoderConfig) -> Tensor:
+    """The first stage's input: every image's patches, stacked as
+    (b * n_regular, 3 * patch_size**2) rows."""
+    return Tensor(np.concatenate([extract_patches(img, config) for img in images]))
+
+
+def _embed(patches: Tensor, params: EncoderParams, tape: Tape) -> Tensor:
+    """Patch rows -> stacked (b*n, d) sequences [regular patches | summary
+    inits | global], each plus the position table."""
+    layout = params.layout
+    n_reg = layout.n_regular
+    b = patches.data.shape[0] // n_reg
+    tokens = tape.linear(patches, params.t("patch_w"), params.t("patch_b"))
+
+    parts = []
+    for i in range(b):
+        parts.append(tape.slice_rows(tokens, i * n_reg, (i + 1) * n_reg))
+        if layout.n_additional > 0:
+            parts.append(params.t("summary_init"))
+        parts.append(params.t("global_token"))
+    seq = tape.concat(parts)
+    pos = params.t("posenc")
+    return tape.add(seq, tape.concat([pos] * b) if b > 1 else pos)
+
+
+def _attention_sublayer(p: str, x: Tensor, params: EncoderParams,
+                        tape: Tape) -> Tensor:
+    """x + Wo MHA(LN(x)) for layer prefix ``p``, x being (b*n, d). All
+    heads run in one ``Tape.attention`` under the params' bias table."""
     ln = tape.layer_norm(x, params.t(p + "ln1_gain"), params.t(p + "ln1_shift"))
     q, k, v = (tape.linear(ln, params.t(p + w)) for w in ("wq", "wk", "wv"))
     attn = tape.attention(q, k, v, params.attn_bias, params.config.n_heads)
-    x = tape.add(x, tape.linear(attn, params.t(p + "wo")))
+    return tape.add(x, tape.linear(attn, params.t(p + "wo")))
 
+
+def _mlp_sublayer(p: str, x: Tensor, params: EncoderParams,
+                  tape: Tape) -> Tensor:
+    """x + MLP(LN(x)) for layer prefix ``p``."""
     h2 = tape.layer_norm(x, params.t(p + "ln2_gain"), params.t(p + "ln2_shift"))
     m = tape.gelu(tape.linear(h2, params.t(p + "mlp_w1"), params.t(p + "mlp_b1")))
     m = tape.linear(m, params.t(p + "mlp_w2"), params.t(p + "mlp_b2"))
     return tape.add(x, m)
+
+
+def _head(x: Tensor, params: EncoderParams, tape: Tape) -> Tensor:
+    """Final LN, then the class logits (b, n_classes) read from each
+    sequence's global token."""
+    layout = params.layout
+    b = x.data.shape[0] // layout.total
+    x = tape.layer_norm(x, params.t("final_gain"), params.t("final_shift"))
+    pooled = tape.gather_rows(
+        x, [i * layout.total + layout.global_index for i in range(b)]
+    )
+    return tape.linear(pooled, params.t("head_w"), params.t("head_b"))
+
+
+def forward_stages(config: EncoderConfig, layout: TokenLayout) -> list[Stage]:
+    """The forward as an ordered list of stages: embed; per layer an
+    attention sublayer and an MLP sublayer, each up to its residual add;
+    then the head. Each parameter tensor is read by exactly one stage, so
+    changing it leaves the input of that stage and of every earlier one
+    as it was."""
+    embed = ("patch_w", "patch_b") \
+        + (("summary_init",) if layout.n_additional > 0 else ()) \
+        + ("global_token", "posenc")
+    stages = [Stage(embed, _embed)]
+    for layer in range(config.n_layers):
+        p = f"layer{layer}."
+        stages.append(Stage(
+            tuple(p + w for w in ("ln1_gain", "ln1_shift", "wq", "wk", "wv", "wo")),
+            partial(_attention_sublayer, p),
+        ))
+        stages.append(Stage(
+            tuple(p + w for w in ("ln2_gain", "ln2_shift", "mlp_w1", "mlp_b1",
+                                  "mlp_w2", "mlp_b2")),
+            partial(_mlp_sublayer, p),
+        ))
+    stages.append(Stage(("final_gain", "final_shift", "head_w", "head_b"), _head))
+    return stages
+
+
+def run_stages(stages, x: Tensor, params: EncoderParams, tape: Tape) -> Tensor:
+    """Fold ``x`` through ``stages`` in order."""
+    for stage in stages:
+        x = stage.run(x, params, tape)
+    return x
 
 
 def forward(image: np.ndarray, config: EncoderConfig,
@@ -264,7 +348,8 @@ def forward(image: np.ndarray, config: EncoderConfig,
 
 def forward_batch(images, config: EncoderConfig, params: EncoderParams,
                   tape: Tape | None = None) -> Tensor:
-    """Class logits (B, n_classes) for a batch of images.
+    """Class logits (B, n_classes) for a batch of images: the fold of
+    their patch rows over ``forward_stages``.
 
     Each image's sequence is [regular patches | summary inits | global]
     plus the position table; the sequences are stacked and every layer
@@ -272,32 +357,10 @@ def forward_batch(images, config: EncoderConfig, params: EncoderParams,
     """
     if tape is None:
         tape = Tape(recording=False)
-    layout = params.layout
-    b = len(images)
-    if b < 1:
+    if len(images) < 1:
         raise ContractError("forward_batch needs at least one image")
-    n, n_reg = layout.total, layout.n_regular
-
-    patches = Tensor(
-        np.concatenate([extract_patches(img, config) for img in images])
-    )
-    tokens = tape.linear(patches, params.t("patch_w"), params.t("patch_b"))
-
-    parts = []
-    for i in range(b):
-        parts.append(tape.slice_rows(tokens, i * n_reg, (i + 1) * n_reg))
-        if layout.n_additional > 0:
-            parts.append(params.t("summary_init"))
-        parts.append(params.t("global_token"))
-    seq = tape.concat(parts)
-    pos = params.t("posenc")
-    x = tape.add(seq, tape.concat([pos] * b) if b > 1 else pos)
-
-    for layer in range(config.n_layers):
-        x = _attention_block(x, layer, params, tape)
-    x = tape.layer_norm(x, params.t("final_gain"), params.t("final_shift"))
-    pooled = tape.gather_rows(x, [i * n + layout.global_index for i in range(b)])
-    return tape.linear(pooled, params.t("head_w"), params.t("head_b"))
+    return run_stages(forward_stages(config, params.layout),
+                      patch_rows(images, config), params, tape)
 
 
 def batch_loss(images, labels, config: EncoderConfig, params: EncoderParams,

@@ -13,14 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape
 from .encoder import (
     EncoderConfig,
     EncoderParams,
     batch_loss,
     forward,
     forward_batch,
+    forward_stages,
     init_params,
+    patch_rows,
+    run_stages,
 )
 from .errors import ConfigError
 from .grid import GridSpec, TokenLayout
@@ -537,8 +540,15 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
     of ``batch_loss``, the objective training runs, over every trainable
     parameter entry, on one random batch.
 
+    The forward runs once and keeps each stage's input. Each difference
+    then reruns the stages from the first one that reads the perturbed
+    tensor, plus the loss: the earlier stages do not read it, so every
+    loss is bit for bit the one ``batch_loss`` gives.
+
     Relative error uses a 1e-6 denominator floor so finite-difference
-    noise on near-zero gradients does not register as disagreement.
+    noise on near-zero gradients does not register as disagreement. A
+    relative error that is not finite makes the result not finite. A step
+    that makes the loss overflow raises ``ConfigError``.
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError(f"eps must be a positive finite step, got {eps!r}")
@@ -554,41 +564,53 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
     images = [image for image, _ in batch]
     labels = [label for _, label in batch]
 
-    def objective(tape: Tape) -> Tensor:
-        return batch_loss(images, labels, config, params, tape)
-
     tape = Tape()
-    tape.backward(objective(tape))
-    analytic = {}
-    for name, tensor, row_mask in params.trainable_items():
-        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        analytic[name] = (g.copy(), row_mask)
-    params.zero_grads()
+    tape.backward(batch_loss(images, labels, config, params, tape))
 
     notape = Tape(recording=False)
-    worst = 0.0
-    for name, tensor, _ in params.trainable_items():
-        grad, row_mask = analytic[name]
+    stages = forward_stages(config, params.layout)
+    inputs = []
+    x = patch_rows(images, config)
+    for stage in stages:
+        inputs.append(x)
+        x = stage.run(x, params, notape)
+    first = {name: i for i, stage in enumerate(stages) for name in stage.reads}
+
+    rel_errors = []
+    for name, tensor, row_mask in params.trainable_items():
+        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         flat = tensor.data.reshape(-1)
-        grad_flat = grad.reshape(-1)
-        if row_mask is None:
-            indices = range(flat.size)
-        else:
-            cols = tensor.data.shape[1]
-            indices = [
-                r * cols + c
-                for r in np.flatnonzero(row_mask)
-                for c in range(cols)
-            ]
-        for idx in indices:
-            saved = flat[idx]
-            flat[idx] = saved + eps
-            plus = float(objective(notape).data)
-            flat[idx] = saved - eps
-            minus = float(objective(notape).data)
-            flat[idx] = saved
-            fd = (plus - minus) / (2.0 * eps)
-            a = grad_flat[idx]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-            worst = max(worst, rel)
-    return float(worst)
+        indices = np.arange(flat.size) if row_mask is None \
+            else np.flatnonzero(np.repeat(row_mask, tensor.data.shape[1]))
+        tail, start = stages[first[name]:], inputs[first[name]]
+
+        def loss_at(idx: int, value: float) -> float:
+            flat[idx] = value
+            try:
+                logits = run_stages(tail, start, params, notape)
+                loss = float(notape.softmax_cross_entropy_rows(logits, labels).data)
+            except FloatingPointError:
+                loss = math.nan
+            if not math.isfinite(loss):
+                entry = ", ".join(
+                    str(i) for i in np.unravel_index(idx, tensor.data.shape))
+                raise ConfigError(
+                    f"eps {eps!r} is too large: the loss is not finite when "
+                    f"{name}[{entry}] moves by it"
+                )
+            return loss
+
+        fd = np.empty(indices.size)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for j, idx in enumerate(indices.tolist()):
+                saved = flat[idx]
+                plus = loss_at(idx, saved + eps)
+                minus = loss_at(idx, saved - eps)
+                flat[idx] = saved
+                fd[j] = (plus - minus) / (2.0 * eps)
+        a = grad.reshape(-1)[indices]
+        rel_errors.append(
+            np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
+        )
+    # np.max, unlike max(), keeps a NaN
+    return float(np.concatenate(rel_errors).max())

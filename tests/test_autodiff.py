@@ -290,6 +290,19 @@ def test_attention_all_masked_row_raises(monkeypatch):
         Tape().attention(q, k, v, bias, 1)
 
 
+def test_overflowed_scores_are_not_a_mask_error():
+    # the bias allows every entry; the scores alone overflow to -inf
+    q = Tensor(np.full((4, 2), 1e200))
+    k = Tensor(np.full((4, 2), -1e200))
+    v = Tensor(np.ones((4, 2)))
+    t = Tape(recording=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = t.attention(q, k, v, np.zeros((2, 2)), 1)
+        probs = t.masked_softmax(Tensor(np.full((3, 2), -np.inf)), np.zeros(2))
+    assert np.isnan(out.data).all()
+    assert np.isnan(probs.data).all()
+
+
 def test_attention_rejects_shapes_that_do_not_chain():
     t = Tape()
     x = Tensor(np.zeros((6, 4)))

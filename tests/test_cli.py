@@ -1,9 +1,11 @@
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from fractalvit import cli
 from fractalvit.grid import GridSpec, build_layout
 from fractalvit.mask import build_fractal_mask
 
@@ -352,6 +354,44 @@ def test_gradcheck_zero_eps_exits_2():
     result = fvit("gradcheck", *SMALL_MODEL, "--eps", "0")
     assert result.returncode == 2
     assert "error: eps must be a positive finite step" in result.stderr
+
+
+def test_gradcheck_step_that_overflows_the_loss_exits_2(tmp_path):
+    # the step overflows the forward, the mask is fine: a bad eps, not an
+    # internal error
+    out = tmp_path / "gc.txt"
+    result = fvit("gradcheck", "--grid", "2x2", "--k", "2", "--levels", "1",
+                  "--dim", "8", "--heads", "1", "--layers", "1",
+                  "--eps", "1e300", "--out", out)
+    assert result.returncode == 2
+    assert result.stderr == ("error: eps 1e+300 is too large: the loss is not "
+                             "finite when patch_w[0, 0] moves by it\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--assert-max", "nan"), ("--assert-min", "inf"), ("--assert-max", "x"),
+])
+def test_assert_flag_that_is_not_finite_exits_2_before_any_work(
+        tmp_path, flag, value):
+    out = tmp_path / "gc.txt"
+    result = fvit("gradcheck", *SMALL_MODEL, f"{flag}={value}", "--out", out)
+    assert result.returncode == 2
+    assert f"argument {flag}: must be a finite number, got {value!r}" \
+        in result.stderr
+    assert not out.exists()
+
+
+def test_nan_value_fails_every_assertion_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gradcheck", lambda *args, **kwargs: math.nan)
+    out = tmp_path / "gc.txt"
+    for flag in ("--assert-max", "--assert-min"):
+        assert cli.main(["gradcheck", *SMALL_MODEL, flag, "0", "--out",
+                         str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "assertion failed: value nan is not a number\n"
+        assert out.read_text().endswith("max_rel_err = nan\n")
+    assert cli.main(["gradcheck", *SMALL_MODEL]) == 0
 
 
 def test_permtest_within_block_invariance(tmp_path):

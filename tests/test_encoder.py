@@ -2,21 +2,24 @@ import math
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from fractalvit.autodiff import Tape, Tensor
 from fractalvit.encoder import (
     EncoderConfig,
     EncoderParams,
-    _attention_block,
     apply_checkpoint,
     batch_loss,
     extract_patches,
     forward,
     forward_batch,
+    forward_stages,
     init_params,
     load_checkpoint,
+    patch_rows,
+    run_stages,
     save_checkpoint,
 )
 from fractalvit.errors import ConfigError, ContractError
@@ -285,13 +288,16 @@ def test_single_token_attention_reduces_to_projections():
     )
     x = Tensor(np.random.default_rng(7).standard_normal((1, config.d)))
     tape = Tape(recording=False)
-    out = _attention_block(x, 0, single, tape)
+    attention, mlp = forward_stages(config, params.layout)[1:3]
+    mid = attention.run(x, single, tape)
+    out = run_stages([attention, mlp], x, single, tape)
 
     ln = tape.layer_norm(
         x, params.t("layer0.ln1_gain"), params.t("layer0.ln1_shift")
     ).data
     v = ln @ params.t("layer0.wv").data.T
     after = x.data + v @ params.t("layer0.wo").data.T
+    assert np.abs(mid.data - after).max() < 1e-12
     ln2 = tape.layer_norm(
         Tensor(after), params.t("layer0.ln2_gain"), params.t("layer0.ln2_shift")
     )
@@ -299,6 +305,100 @@ def test_single_token_attention_reduces_to_projections():
                               params.t("layer0.mlp_b1")))
     m = tape.linear(m, params.t("layer0.mlp_w2"), params.t("layer0.mlp_b2"))
     assert np.abs(out.data - (after + m.data)).max() < 1e-12
+
+
+# ----------------------------------------------------------------------
+# forward stages
+# ----------------------------------------------------------------------
+
+SCHEME_POLICIES = [
+    ("sincos2d", "summary"), ("alibi2d", "summary"), ("learned", "register"),
+    ("learned", "none"), ("none", "register"), ("none", "none"),
+]
+
+
+@st.composite
+def stage_configs(draw):
+    scheme, policy = draw(st.sampled_from(SCHEME_POLICIES))
+    return tiny_config(
+        grid=draw(st.sampled_from(
+            [GridSpec(2, 2, 2, 0), GridSpec(2, 2, 2, 1), GridSpec(4, 4, 2, 1)])),
+        d=8, n_heads=draw(st.sampled_from([1, 2])),
+        n_layers=draw(st.integers(1, 2)), n_classes=4, patch_size=2,
+        scheme=scheme, policy=policy,
+        mask=draw(st.sampled_from(["fractal", "full"])),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+class ReadingParams(EncoderParams):
+    """The same params, noting the name of every tensor read."""
+
+    def __init__(self, params):
+        self.__dict__.update(params.__dict__)
+        self.names = set()
+
+    def t(self, name):
+        self.names.add(name)
+        return super().t(name)
+
+
+def stage_inputs(stages, images, config, params):
+    """The input of every stage, then the logits, as arrays."""
+    x = patch_rows(images, config)
+    arrays = []
+    for stage in stages:
+        arrays.append(x.data)
+        x = stage.run(x, params, Tape(recording=False))
+    return arrays + [x.data]
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(scheme="learned", policy="none", n_layers=3),
+    dict(grid=GridSpec(4, 4, 2, 0), scheme="alibi2d", mask="full"),
+])
+def test_each_tensor_is_read_by_the_one_stage_that_names_it(overrides):
+    config = tiny_config(**overrides)
+    params = init_params(config)
+    stages = forward_stages(config, params.layout)
+    assert len(stages) == 2 * config.n_layers + 2
+    named = [name for stage in stages for name in stage.reads]
+    assert sorted(named) == sorted(params.tensors)  # each name exactly once
+    x = patch_rows([np.zeros(config.image_shape)] * 2, config)
+    for stage in stages:
+        reading = ReadingParams(params)
+        x = stage.run(x, reading, Tape(recording=False))
+        assert reading.names == set(stage.reads)
+    assert x.shape == (2, config.n_classes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=stage_configs(), batch=st.integers(1, 2),
+       delta=st.sampled_from([-0.5, 0.25, 3.0]), seed=st.integers(0, 2 ** 16))
+def test_perturbing_a_tensor_leaves_earlier_stage_inputs_unchanged(
+        config, batch, delta, seed):
+    params = init_params(config)
+    randomize_params(params, Rng(seed))
+    rng = np.random.default_rng(seed)
+    images = [rng.random(config.image_shape) for _ in range(batch)]
+    stages = forward_stages(config, params.layout)
+    before = stage_inputs(stages, images, config, params)
+
+    for name, tensor, row_mask in params.trainable_items():
+        allowed = np.ones(tensor.data.shape, dtype=bool)
+        if row_mask is not None:
+            allowed &= row_mask[:, None]
+        flat = tensor.data.reshape(-1)
+        idx = rng.choice(np.flatnonzero(allowed))
+        saved = flat[idx]
+        flat[idx] = saved + delta
+        after = stage_inputs(stages, images, config, params)
+        flat[idx] = saved
+
+        (first,) = [i for i, stage in enumerate(stages) if name in stage.reads]
+        for i in range(first + 1):
+            assert np.array_equal(before[i], after[i]), (name, i)
+        assert not np.array_equal(before[first + 1], after[first + 1]), name
 
 
 def test_mask_and_alibi_are_read_only():

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -24,7 +25,7 @@ from fractalvit.harness import (
     sample_permutation,
     train,
 )
-from fractalvit.rng import Rng
+from fractalvit.rng import Rng, substream_seed
 
 GRID = GridSpec(4, 4, 2, 1)
 
@@ -390,6 +391,89 @@ def test_gradcheck_small_model_passes():
         patch_size=2,
     )
     assert gradcheck(config, eps=1e-5, batch_size=1, seed=0) < 1e-4
+
+
+def full_forward_gradcheck(config, eps, batch_size, seed):
+    """``gradcheck`` without stage reuse: the whole ``batch_loss`` for every
+    step, on the same params and batch, with the same error formula."""
+    params = init_params(config)
+    rng = Rng(substream_seed(seed, 7))
+    randomize_params(params, rng)
+    batch = [(rng.uniform_array(config.image_shape), rng.below(config.n_classes))
+             for _ in range(batch_size)]
+    images = [image for image, _ in batch]
+    labels = [label for _, label in batch]
+    tape = Tape()
+    tape.backward(batch_loss(images, labels, config, params, tape))
+    notape = Tape(recording=False)
+    worst = 0.0
+    for _, tensor, row_mask in params.trainable_items():
+        grad = tensor.grad.reshape(-1)
+        flat = tensor.data.reshape(-1)
+        rows = range(tensor.data.shape[0]) if row_mask is None \
+            else np.flatnonzero(row_mask)
+        per_row = flat.size // tensor.data.shape[0]
+        for idx in (r * per_row + c for r in rows for c in range(per_row)):
+            saved = flat[idx]
+            flat[idx] = saved + eps
+            plus = float(batch_loss(images, labels, config, params, notape).data)
+            flat[idx] = saved - eps
+            minus = float(batch_loss(images, labels, config, params, notape).data)
+            flat[idx] = saved
+            fd = (plus - minus) / (2.0 * eps)
+            rel = abs(grad[idx] - fd) / max(abs(grad[idx]), abs(fd), 1e-6)
+            assert math.isfinite(rel)
+            worst = max(worst, rel)
+    return worst
+
+
+@pytest.mark.parametrize("overrides, batch_size", [
+    # fvbench's probe-4x4 gradcheck preset
+    (dict(d=8, n_layers=1), 1),
+    (dict(grid=GridSpec(2, 2, 2, 1), d=8, n_layers=1, n_classes=4,
+          patch_size=2, scheme="alibi2d"), 3),
+    (dict(grid=GridSpec(2, 2, 2, 1), d=8, n_classes=4, patch_size=2,
+          scheme="learned", policy="register"), 2),
+    # posenc rows of the summary token are not trainable
+    (dict(grid=GridSpec(2, 2, 2, 1), d=8, n_layers=1, n_classes=4,
+          patch_size=2, scheme="learned", policy="none"), 2),
+    (dict(grid=GridSpec(2, 2, 2, 1), d=8, n_classes=4, patch_size=2,
+          mask="full"), 1),
+    (dict(grid=GridSpec(2, 2, 2, 0), d=8, n_classes=4, patch_size=2), 1),
+])
+def test_gradcheck_equals_the_full_forward_check_bitwise(overrides, batch_size):
+    config = small_config(**overrides)
+    expected = full_forward_gradcheck(config, 1e-5, batch_size, seed=3)
+    assert gradcheck(config, eps=1e-5, batch_size=batch_size, seed=3) == expected
+    assert 0.0 < expected < 1e-4
+
+
+def test_gradcheck_reports_a_nan_gradient(monkeypatch):
+    config = small_config(grid=GridSpec(2, 2, 2, 1), d=8, n_layers=1,
+                          n_classes=4, patch_size=2)
+    made = []
+    real_init, real_backward = harness.init_params, Tape.backward
+
+    def init(config):
+        made.append(real_init(config))
+        return made[-1]
+
+    def backward(self, loss):
+        real_backward(self, loss)
+        made[0].t("head_b").grad[0] = np.nan  # the last tensor checked
+
+    monkeypatch.setattr(harness, "init_params", init)
+    monkeypatch.setattr(Tape, "backward", backward)
+    assert math.isnan(gradcheck(config, eps=1e-5, batch_size=1, seed=0))
+
+
+def test_gradcheck_step_that_overflows_the_loss_is_a_config_error():
+    config = small_config(grid=GridSpec(2, 2, 2, 1), d=8, n_heads=1,
+                          n_layers=1, n_classes=4)
+    with pytest.raises(ConfigError, match=re.escape(
+            "eps 1e+300 is too large: the loss is not finite when "
+            "patch_w[0, 0] moves by it")):
+        gradcheck(config, eps=1e300, batch_size=1, seed=0)
 
 
 def test_loss_independent_parameter_has_zero_gradients_both_ways():
