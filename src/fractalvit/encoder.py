@@ -364,9 +364,13 @@ def forward_batch(images, config: EncoderConfig, params: EncoderParams,
 
 
 def batch_loss(images, labels, config: EncoderConfig, params: EncoderParams,
-               tape: Tape) -> Tensor:
-    """Mean cross-entropy over a batch, via the stacked forward."""
+               tape: Tape, *, logits_out: list | None = None) -> Tensor:
+    """Mean cross-entropy over a batch, via the stacked forward. With
+    ``logits_out`` the forward's (B, n_classes) logit array is appended to
+    it, so a caller that also needs the logits runs no second forward."""
     logits = forward_batch(images, config, params, tape)
+    if logits_out is not None:
+        logits_out.append(logits.data)
     return tape.softmax_cross_entropy_rows(logits, labels)
 
 

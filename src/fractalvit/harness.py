@@ -237,20 +237,30 @@ def config_echo(config: EncoderConfig) -> dict:
 # attention scores are bounded per block by Tape.attention. The value
 # stays because OpenBLAS's gemm result depends on the row count M: logits
 # of a batch of 8 or fewer differ in the last bit from those of 12 or
-# more, so another chunk size would change evaluated bits.
+# more, so another chunk size would change evaluated bits. ``train``'s
+# logit reuse depends on it too: only a training set of at most
+# EVAL_CHUNK images is evaluated in one forward of the same row count as
+# its full-batch training step.
 EVAL_CHUNK = 64
+
+
+def _hits(logits: np.ndarray, labels) -> int:
+    """Rows whose first maximal logit is at their label."""
+    return int((np.argmax(logits, axis=1) == labels).sum())
 
 
 def evaluate(config: EncoderConfig, params: EncoderParams,
              dataset: ToyDataset) -> float:
+    """Accuracy of ``params`` on ``dataset``: the share of samples whose
+    first maximal logit is at their label. The samples run in dataset
+    order through ``forward_batch`` on a non-recording tape, in chunks
+    of ``EVAL_CHUNK`` images."""
     hits = 0
     samples = dataset.samples
     for start in range(0, len(samples), EVAL_CHUNK):
         chunk = samples[start:start + EVAL_CHUNK]
         logits = forward_batch([img for img, _ in chunk], config, params).data
-        hits += int(
-            (np.argmax(logits, axis=1) == [label for _, label in chunk]).sum()
-        )
+        hits += _hits(logits, [label for _, label in chunk])
     return hits / len(samples)
 
 
@@ -303,6 +313,15 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
     An eval set that holds the same samples as the training set, by
     identity or by content, is evaluated once per epoch, and that one
     accuracy is recorded as both the train and the eval accuracy.
+
+    A full-batch run (``batch >= n`` and ``n <= EVAL_CHUNK``) evaluates
+    the training set only once. Its single step per epoch forwards all n
+    training images, shuffled, with the parameters the previous epoch
+    left, before it updates them; a row-permuted batch of n images gives
+    bit-identical logit rows, so that forward's hits are the previous
+    epoch's train accuracy. Only the last record, the one no further
+    step follows, calls ``evaluate`` on the training set. A distinct eval
+    set is still evaluated every epoch.
     """
     _check_against_config(config, dataset, "dataset")
     if epochs < 1 or batch < 1:
@@ -333,6 +352,15 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
     total_steps = epochs * steps_per_epoch
     trainables = list(params.trainable_items())
     step = 0
+    full_batch = batch >= n and n <= EVAL_CHUNK
+    # on a full-batch run, the last record's train accuracy waits for the
+    # next step's forward, which runs on the same parameters
+    pending = False
+
+    def record_train_acc(acc: float) -> None:
+        report.train_accs.append(acc)
+        if eval_is_train:
+            report.eval_accs.append(acc)
 
     for _ in range(epochs):
         order = list(range(n))
@@ -340,12 +368,16 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
         batch_losses = []
         for start in range(0, n, batch):
             chunk = order[start:start + batch]
+            labels = [dataset.samples[idx][1] for idx in chunk]
             tape = Tape()
+            logits = [] if pending else None
             objective = batch_loss(
-                [dataset.samples[idx][0] for idx in chunk],
-                [dataset.samples[idx][1] for idx in chunk],
-                config, params, tape,
+                [dataset.samples[idx][0] for idx in chunk], labels,
+                config, params, tape, logits_out=logits,
             )
+            if pending:
+                record_train_acc(_hits(logits[0], labels) / n)
+                pending = False
             value = float(objective.data)
             if not math.isfinite(value):
                 report.diverged = True
@@ -376,14 +408,15 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
             step += 1
         if batch_losses:
             report.losses.append(sum(batch_losses) / len(batch_losses))
-            train_acc = evaluate(config, params, dataset)
-            report.train_accs.append(train_acc)
-            report.eval_accs.append(
-                train_acc if eval_is_train
-                else evaluate(config, params, eval_set)
-            )
+            if not full_batch:
+                record_train_acc(evaluate(config, params, dataset))
+            if not eval_is_train:
+                report.eval_accs.append(evaluate(config, params, eval_set))
+            pending = full_batch
         if report.diverged:
             break
+    if pending:
+        record_train_acc(evaluate(config, params, dataset))
 
     report.final_eval_acc = (
         report.eval_accs[-1] if report.eval_accs
