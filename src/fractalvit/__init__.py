@@ -12,13 +12,12 @@ from .encoder import (
     save_checkpoint,
 )
 from .grid import GridSpec, TokenLayout, build_layout, max_levels
-from .mask import AttentionMask, build_fractal_mask, build_full_mask
+from .mask import build_fractal_mask, build_full_mask
 from .posenc import PosTable, alibi2d_bias, alibi_slopes, sincos2d
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionMask",
     "EncoderConfig",
     "EncoderParams",
     "GridSpec",

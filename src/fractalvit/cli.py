@@ -184,6 +184,19 @@ def check_assertions(value: float, args) -> None:
         )
 
 
+def write_probe_report(args, config: EncoderConfig, extra: list[str],
+                       value: float) -> None:
+    """The config echo plus ``extra`` lines, to ``--out`` or stdout; then
+    the ``--assert-*`` bounds are checked against ``value``."""
+    echo = [f"{key} = {item}" for key, item in config_echo(config).items()]
+    text = "\n".join(echo + extra) + "\n"
+    if args.out:
+        write_text(args.out, text)
+    else:
+        sys.stdout.write(text)
+    check_assertions(value, args)
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -274,16 +287,11 @@ def cmd_gradcheck(args) -> int:
         config, eps=_float(values, "eps"),
         batch_size=args.batch_size, seed=config.seed,
     )
-    lines = [f"{key} = {value}" for key, value in config_echo(config).items()]
-    lines.append(f"eps = {values['eps']}")
-    lines.append(f"batch_size = {args.batch_size}")
-    lines.append(f"max_rel_err = {worst!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    check_assertions(worst, args)
+    write_probe_report(args, config, [
+        f"eps = {values['eps']}",
+        f"batch_size = {args.batch_size}",
+        f"max_rel_err = {worst!r}",
+    ], worst)
     return 0
 
 
@@ -300,16 +308,11 @@ def cmd_permtest(args) -> int:
         trials=_int(values, "trials"),
         seed=substream_seed(config.seed, 6),
     )
-    lines = [f"{key} = {value}" for key, value in config_echo(config).items()]
-    lines.append(f"kind = {kind}")
-    lines.append(f"trials = {values['trials']}")
-    lines.append(f"max_deviation = {worst!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
-    check_assertions(worst, args)
+    write_probe_report(args, config, [
+        f"kind = {kind}",
+        f"trials = {values['trials']}",
+        f"max_deviation = {worst!r}",
+    ], worst)
     return 0
 
 

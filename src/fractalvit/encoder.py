@@ -7,8 +7,8 @@ that path on a batch of one. It is a fold over ``forward_stages``: embed,
 then per layer an attention sublayer (LN, the q, k and v projections, one
 fused ``Tape.attention`` that lays out and runs all heads, the output
 projection, the residual add) and an MLP sublayer, then the head. The mask
-and the ALiBi biases enter the attention as one additive table built with
-the params.
+(a bool array) and the ALiBi biases enter the attention as one additive
+table built with the params; the params hold all three read-only.
 
 Everything runs in float64 through the tape engine; a forward pass on a
 non-recording tape is plain inference.
@@ -27,7 +27,7 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, ContractError, ShapeError
 from .grid import GridSpec, TokenLayout, build_layout
-from .mask import AttentionMask, build_fractal_mask, build_full_mask
+from .mask import build_fractal_mask, build_full_mask
 from .posenc import alibi2d_bias, assemble_posenc, check_scheme_policy, check_tau
 from .rng import Rng, substream_seed
 
@@ -59,10 +59,10 @@ class EncoderConfig:
             raise ConfigError(f"mask must be 'full' or 'fractal', got {self.mask!r}")
         if self.n_heads < 1:
             raise ConfigError(f"n_heads must be >= 1, got {self.n_heads}")
-        if self.d < 1 or self.d % self.n_heads != 0:
-            raise ConfigError(
-                f"d={self.d} must be a positive multiple of n_heads={self.n_heads}"
-            )
+        if self.d < 2:
+            raise ConfigError(f"d must be >= 2 for layer norm, got {self.d}")
+        if self.d % self.n_heads != 0:
+            raise ConfigError(f"d={self.d} must be a multiple of n_heads={self.n_heads}")
         if self.n_layers < 1 or self.n_classes < 2 or self.patch_size < 1:
             raise ConfigError("n_layers >= 1, n_classes >= 2, patch_size >= 1 required")
         if self.mlp_ratio < 1:
@@ -78,26 +78,33 @@ class EncoderConfig:
 
 
 class EncoderParams:
-    """Named parameter tensors plus the fixed tables derived from a config."""
+    """Named parameter tensors plus the fixed tables derived from a config.
+
+    ``attn_bias`` is derived once from the mask and the ALiBi table, so the
+    params keep read-only copies of both and mark ``attn_bias`` read-only;
+    a new mask or ALiBi table needs a new EncoderParams.
+    """
 
     def __init__(self, config: EncoderConfig, layout: TokenLayout,
-                 mask: AttentionMask, tensors: dict[str, Tensor],
+                 mask: np.ndarray, tensors: dict[str, Tensor],
                  pos_trainable_rows: np.ndarray, alibi: np.ndarray | None):
         self.config = config
         self.layout = layout
-        self._mask = mask
+        self._mask = np.array(mask, dtype=bool)
         self.tensors = tensors  # insertion order is the canonical order
         self.pos_trainable_rows = pos_trainable_rows
-        self._alibi = alibi
+        self._alibi = None if alibi is None else np.array(alibi)
         # the additive attention table: ALiBi (or 0) on allowed pairs, -inf
         # on excluded ones; (n_heads, n, n) with ALiBi, else (n, n)
-        self.attn_bias = np.where(mask.bits, 0.0 if alibi is None else alibi,
+        self.attn_bias = np.where(self._mask, 0.0 if alibi is None else self._alibi,
                                   -np.inf)
+        for table in (self._mask, self._alibi, self.attn_bias):
+            if table is not None:
+                table.flags.writeable = False
 
-    # Read-only: attn_bias is derived from both once, so a new mask or
-    # ALiBi table needs a new EncoderParams.
     @property
-    def mask(self) -> AttentionMask:
+    def mask(self) -> np.ndarray:
+        """(n, n) bool attention mask; true means attention is allowed."""
         return self._mask
 
     @property

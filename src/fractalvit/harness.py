@@ -107,11 +107,18 @@ def _pair_label(grid: GridSpec, p: int, q: int) -> int:
 
 
 def _pair_universe(grid: GridSpec):
+    """Every pair (p < q) of distinct patches, split into same-block and
+    cross-block pairs; a grid without both kinds raises ``ConfigError``."""
     n = grid.n_h * grid.n_w
     same, cross = [], []
     for p in range(n):
         for q in range(p + 1, n):
             (same if _pair_label(grid, p, q) else cross).append((p, q))
+    if not same or not cross:
+        raise ConfigError(
+            f"{grid.n_h}x{grid.n_w} grid with k={grid.k} cannot produce both "
+            "pair labels"
+        )
     return same, cross
 
 
@@ -131,12 +138,7 @@ def gen_same_block_pair(grid: GridSpec, patch_size: int, count: int,
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    same, cross = _pair_universe(grid)
-    if not same or not cross:
-        raise ConfigError(
-            f"{grid.n_h}x{grid.n_w} grid with k={grid.k} cannot produce both "
-            "pair labels"
-        )
+    _pair_universe(grid)
     n = grid.n_h * grid.n_w
     rng = Rng(seed)
     samples = []
@@ -159,11 +161,6 @@ def enumerate_same_block_pair_eval(grid: GridSpec,
     evenly strided selection of cross-block pairs (or vice versa when
     cross pairs are the scarcer class)."""
     same, cross = _pair_universe(grid)
-    if not same or not cross:
-        raise ConfigError(
-            f"{grid.n_h}x{grid.n_w} grid with k={grid.k} cannot produce both "
-            "pair labels"
-        )
     m = min(len(same), len(cross))
 
     def strided(pairs):
@@ -183,9 +180,6 @@ def enumerate_same_block_pair_eval(grid: GridSpec,
 
 @dataclass
 class TrainReport:
-    task: str
-    seed: int
-    data_seed: int
     config_echo: dict = field(default_factory=dict)
     losses: list = field(default_factory=list)
     train_accs: list = field(default_factory=list)
@@ -335,10 +329,7 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
     _check_against_config(config, eval_set, "eval_set")
     eval_is_train = _same_samples(dataset, eval_set)
 
-    report = TrainReport(
-        task=dataset.task, seed=config.seed, data_seed=dataset.seed,
-        config_echo=config_echo(config),
-    )
+    report = TrainReport(config_echo=config_echo(config))
     report.config_echo.update(
         task=dataset.task, data_seed=str(dataset.seed), count=str(len(dataset)),
         epochs=str(epochs), lr=repr(lr), batch=str(batch),
@@ -450,20 +441,11 @@ def randomize_params(params: EncoderParams, rng: Rng) -> None:
 def permute_patches(image: np.ndarray, perm, grid: GridSpec,
                     patch_size: int) -> np.ndarray:
     """New image whose patch t is the old image's patch perm[t]."""
-    out = np.empty_like(image)
-    for dst, src in enumerate(perm):
-        di, dj = divmod(dst, grid.n_w)
-        si, sj = divmod(src, grid.n_w)
-        out[
-            di * patch_size:(di + 1) * patch_size,
-            dj * patch_size:(dj + 1) * patch_size,
-            :,
-        ] = image[
-            si * patch_size:(si + 1) * patch_size,
-            sj * patch_size:(sj + 1) * patch_size,
-            :,
-        ]
-    return out
+    n_h, n_w, ps = grid.n_h, grid.n_w, patch_size
+    patches = image.reshape(n_h, ps, n_w, ps, -1).transpose(0, 2, 1, 3, 4)
+    moved = patches.reshape(n_h * n_w, ps, ps, -1)[list(perm)]
+    return (moved.reshape(n_h, n_w, ps, ps, -1).transpose(0, 2, 1, 3, 4)
+            .reshape(image.shape))
 
 
 def _by_parent(layout: TokenLayout, level: int) -> dict:

@@ -35,7 +35,7 @@ def test_mask_matches_library(tmp_path):
     assert fvit("mask", "--grid", "8x8", "--k", "4", "--out", out).returncode == 0
     rows = [line.split(",") for line in out.read_text().strip().split("\n")]
     parsed = np.array(rows, dtype=int).astype(bool)
-    expected = build_fractal_mask(build_layout(GridSpec(8, 8, 4, 1))).bits
+    expected = build_fractal_mask(build_layout(GridSpec(8, 8, 4, 1)))
     assert np.array_equal(parsed, expected)
 
 
@@ -198,6 +198,15 @@ def test_train_zero_heads_exits_2(tmp_path):
     result = fvit(*train_args(tmp_path, heads=0))
     assert result.returncode == 2
     assert "error: n_heads must be >= 1" in result.stderr
+
+
+def test_train_width_one_exits_2(tmp_path):
+    # one feature used to reach layer_norm and exit 1 as an internal error
+    result = fvit(*train_args(tmp_path, dim=1, heads=1, scheme="none",
+                              policy="none"))
+    assert result.returncode == 2
+    assert result.stderr == "error: d must be >= 2 for layer norm, got 1\n"
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_train_non_finite_lr_exits_2(tmp_path):
@@ -415,6 +424,26 @@ def test_permtest_cross_block_breaks_invariance(tmp_path):
                   "--mask", "fractal", "--kind", "cross-block-transposition",
                   "--trials", "3", "--assert-min", "1e-6")
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command, extra, last", [
+    ("gradcheck", ["--batch-size", "2"],
+     ["eps = 1e-5", "batch_size = 2", "max_rel_err = "]),
+    ("permtest", ["--kind", "any", "--trials", "2"],
+     ["kind = any", "trials = 2", "max_deviation = "]),
+])
+def test_probe_report_bytes_match_on_out_and_stdout(tmp_path, command, extra,
+                                                    last):
+    out = tmp_path / "report.txt"
+    to_file = fvit(command, *SMALL_MODEL, *extra, "--out", out)
+    to_stdout = fvit(command, *SMALL_MODEL, *extra)
+    assert to_file.returncode == to_stdout.returncode == 0, to_file.stderr
+    assert to_file.stdout == ""
+    text = out.read_text()
+    assert to_stdout.stdout == text
+    lines = text.splitlines()
+    assert lines[0] == "grid = 2x2" and lines[-4] == "tau = 10000.0"
+    assert lines[-3:-1] == last[:2] and lines[-1].startswith(last[2])
 
 
 def test_unknown_perm_kind_exits_2():

@@ -25,7 +25,7 @@ from fractalvit.encoder import (
 from fractalvit.errors import ConfigError, ContractError
 from fractalvit.grid import GridSpec
 from fractalvit.harness import randomize_params
-from fractalvit.mask import AttentionMask
+from fractalvit.mask import build_fractal_mask
 from fractalvit.posenc import sincos2d
 from fractalvit.rng import Rng
 
@@ -95,7 +95,7 @@ def reference_forward(image, config, params, attend=per_head_attention,
         p = f"layer{layer}."
         h = np_layer_norm(x, t(p + "ln1_gain"), t(p + "ln1_shift"))
         q, k, v = (h @ t(p + w).T for w in ("wq", "wk", "wv"))
-        mixed = attend(q, k, v, params.mask.bits, params.alibi, config.n_heads)
+        mixed = attend(q, k, v, params.mask, params.alibi, config.n_heads)
         x = x + mixed @ t(p + "wo").T
         h = np_layer_norm(x, t(p + "ln2_gain"), t(p + "ln2_shift"))
         m = h @ t(p + "mlp_w1").T + t(p + "mlp_b1")
@@ -132,6 +132,9 @@ def test_config_rejects_bad_combinations():
         tiny_config(d=30)  # not divisible by 4 under sincos2d
     with pytest.raises(ConfigError):
         tiny_config(d=33, scheme="none", policy="none")  # heads mismatch
+    for d in (1, 0):
+        with pytest.raises(ConfigError, match="layer norm"):
+            tiny_config(d=d, n_heads=1, scheme="none", policy="none")
     with pytest.raises(ConfigError):
         tiny_config(scheme="none")  # summary policy without a scheme
     with pytest.raises(ConfigError):
@@ -275,7 +278,7 @@ def test_fractal_mask_zeroes_nonparent_attention():
     # regular token 0 may not attend summary (0,1) = index 17
     assert np.all(probs[:, 0, 17] == 0.0)
     assert np.all(probs[:, 0, 16] > 0.0)  # its parent
-    assert np.array_equal(probs == 0.0, np.broadcast_to(~params.mask.bits, probs.shape))
+    assert np.array_equal(probs == 0.0, np.broadcast_to(~params.mask, probs.shape))
 
 
 def test_single_token_attention_reduces_to_projections():
@@ -283,7 +286,7 @@ def test_single_token_attention_reduces_to_projections():
     params = init_params(config)
     randomize_params(params, Rng(6))
     single = EncoderParams(
-        config, params.layout, AttentionMask(np.ones((1, 1), dtype=bool)),
+        config, params.layout, np.ones((1, 1), dtype=bool),
         params.tensors, params.pos_trainable_rows, None,
     )
     x = Tensor(np.random.default_rng(7).standard_normal((1, config.d)))
@@ -402,17 +405,39 @@ def test_perturbing_a_tensor_leaves_earlier_stage_inputs_unchanged(
 
 
 def test_mask_and_alibi_are_read_only():
-    # attn_bias is derived from both once; assigning either would leave it
-    # stale and the logits unchanged
-    params = init_params(tiny_config(scheme="alibi2d", policy="summary"))
+    # attn_bias is derived from both once; a new value for either, bound
+    # or written in place, would leave it stale and the logits unchanged
+    config = tiny_config(scheme="alibi2d", policy="summary")
+    params = init_params(config)
     mask, alibi = params.mask, params.alibi
     with pytest.raises(AttributeError):
-        params.mask = AttentionMask(np.ones_like(mask.bits))
+        params.mask = np.ones_like(mask)
     with pytest.raises(AttributeError):
         params.alibi = np.zeros_like(alibi)
-    with pytest.raises(ValueError):
-        params.mask.bits[0, -2] = not mask.bits[0, -2]
+    for table, index in ((params.alibi, (0, 0, 1)), (params.attn_bias, (0, 0, 1)),
+                         (params.mask, (0, 17))):
+        with pytest.raises(ValueError):
+            table[index] = 123.0
     assert params.mask is mask and params.alibi is alibi
+
+
+def test_params_keep_their_own_copies_of_the_callers_tables():
+    config = tiny_config(scheme="alibi2d", policy="summary")
+    source = init_params(config)
+    randomize_params(source, Rng(9))
+    mask = build_fractal_mask(source.layout)
+    alibi = np.array(source.alibi)
+    params = EncoderParams(config, source.layout, mask, source.tensors,
+                           source.pos_trainable_rows, alibi)
+    image = np.random.default_rng(10).random(config.image_shape)
+    bias, logits = params.attn_bias.copy(), forward(image, config, params).data
+    assert not mask[0, 17] and bias[0, 0, 17] == -np.inf
+
+    mask[0, 17] = True  # the caller's arrays stay writable and unshared
+    alibi[0, 0, 1] = 123.0
+    assert not params.mask[0, 17] and params.alibi[0, 0, 1] != 123.0
+    assert np.array_equal(params.attn_bias, bias)
+    assert np.array_equal(forward(image, config, params).data, logits)
 
 
 # ----------------------------------------------------------------------

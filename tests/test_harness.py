@@ -113,8 +113,12 @@ def test_pair_balance_within_one():
 
 
 def test_pair_single_block_grid_rejected():
-    with pytest.raises(ConfigError):
-        gen_same_block_pair(GridSpec(2, 2, 2, 1), 4, 10, seed=0)
+    one_block = GridSpec(2, 2, 2, 1)
+    message = "2x2 grid with k=2 cannot produce both pair labels"
+    with pytest.raises(ConfigError, match=message):
+        gen_same_block_pair(one_block, 4, 10, seed=0)
+    with pytest.raises(ConfigError, match=message):
+        enumerate_same_block_pair_eval(one_block, 4)
 
 
 def test_pair_eval_balanced_and_deterministic():
@@ -288,6 +292,40 @@ def test_attention_blocks_do_not_change_training_bytes(monkeypatch, tmp_path):
 # ----------------------------------------------------------------------
 # permutation machinery
 # ----------------------------------------------------------------------
+
+def permute_patches_by_loop(image, perm, grid, patch_size):
+    """Reference: copy each patch on its own."""
+    out = np.empty_like(image)
+    for dst, src in enumerate(perm):
+        di, dj = divmod(dst, grid.n_w)
+        si, sj = divmod(src, grid.n_w)
+        out[
+            di * patch_size:(di + 1) * patch_size,
+            dj * patch_size:(dj + 1) * patch_size,
+            :,
+        ] = image[
+            si * patch_size:(si + 1) * patch_size,
+            sj * patch_size:(sj + 1) * patch_size,
+            :,
+        ]
+    return out
+
+
+@pytest.mark.parametrize("grid, patch", [
+    (GRID, 4), (GridSpec(3, 5, 2, 1), 2), (GridSpec(1, 4, 2, 0), 3),
+])
+def test_permute_patches_equals_the_per_patch_loop(grid, patch):
+    rng = np.random.default_rng(17)
+    n = grid.n_h * grid.n_w
+    image = rng.standard_normal((grid.n_h * patch, grid.n_w * patch, 3))
+    for _ in range(5):
+        perm = rng.permutation(n)
+        out = permute_patches(image, perm, grid, patch)
+        assert out.dtype == image.dtype and out.flags.c_contiguous
+        assert np.array_equal(out, permute_patches_by_loop(image, perm, grid, patch))
+        assert not np.shares_memory(out, image)
+    assert np.array_equal(permute_patches(image, list(range(n)), grid, patch), image)
+
 
 def test_permute_patches_moves_blocks():
     image = np.zeros((16, 16, 3))

@@ -52,10 +52,7 @@ def reference_train(config, dataset, epochs, lr, batch, *, params=None,
     if eval_set is None:
         eval_set = default_eval_set(config, dataset)
     eval_is_train = harness._same_samples(dataset, eval_set)
-    report = TrainReport(
-        task=dataset.task, seed=config.seed, data_seed=dataset.seed,
-        config_echo=config_echo(config),
-    )
+    report = TrainReport(config_echo=config_echo(config))
     report.config_echo.update(
         task=dataset.task, data_seed=str(dataset.seed), count=str(len(dataset)),
         epochs=str(epochs), lr=repr(lr), batch=str(batch),

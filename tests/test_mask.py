@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fractalvit.errors import ConfigError
 from fractalvit.grid import GridSpec, build_layout, max_levels
 from fractalvit.mask import (
-    AttentionMask,
     build_fractal_mask,
     build_full_mask,
     write_mask_csv,
@@ -39,7 +38,7 @@ def reference_four_summary_mask(n_h, n_w):
 
 
 def fractal_bits(n_h, n_w, k, levels):
-    return build_fractal_mask(build_layout(GridSpec(n_h, n_w, k, levels))).bits
+    return build_fractal_mask(build_layout(GridSpec(n_h, n_w, k, levels)))
 
 
 # ----------------------------------------------------------------------
@@ -73,10 +72,10 @@ def test_zero_levels_degenerates_to_full():
 # ----------------------------------------------------------------------
 
 def test_full_mask_trivial_cases():
-    assert np.array_equal(build_full_mask(1).bits, [[True]])
+    assert np.array_equal(build_full_mask(1), [[True]])
     m3 = build_full_mask(3)
-    assert m3.bits.all()
-    assert (m3.bits.sum(axis=1) == 3).all()
+    assert m3.dtype == bool and m3.all()
+    assert (m3.sum(axis=1) == 3).all()
     with pytest.raises(ConfigError):
         build_full_mask(0)
 
@@ -91,7 +90,7 @@ def test_full_mask_trivial_cases():
 )
 def test_symmetry_diagonal_global(spec):
     layout = build_layout(spec)
-    bits = build_fractal_mask(layout).bits
+    bits = build_fractal_mask(layout)
     assert np.array_equal(bits, bits.T)
     assert np.diagonal(bits).all()
     assert bits[layout.global_index, :].all()
@@ -104,7 +103,7 @@ def test_symmetry_diagonal_global(spec):
 )
 def test_popcount_formula(spec):
     layout = build_layout(spec)
-    bits = build_fractal_mask(layout).bits
+    bits = build_fractal_mask(layout)
     pairs = sum(1 for p in layout.parent if p is not None)
     expected = (
         sum(c * c for c in layout.counts)   # within-level complete blocks
@@ -116,7 +115,7 @@ def test_popcount_formula(spec):
 
 def test_block_automorphisms_map_mask_onto_itself():
     layout = build_layout(GridSpec(8, 8, 4, 1))
-    bits = build_fractal_mask(layout).bits
+    bits = build_fractal_mask(layout)
     rng = np.random.default_rng(0)
     k, n_w = 4, 8
     bw = n_w // k
@@ -187,7 +186,7 @@ def test_random_layouts_keep_count_identities_and_a_clean_mask(
     summaries = slice(layout.n_regular, layout.global_index)
     assert (children[summaries] == k * k).all()
 
-    bits = build_fractal_mask(layout).bits
+    bits = build_fractal_mask(layout)
     g = layout.global_index
     assert np.array_equal(bits, bits.T)
     assert np.diagonal(bits).all()
@@ -205,21 +204,11 @@ def test_random_layouts_keep_count_identities_and_a_clean_mask(
     )
 
 
-def test_mask_bits_are_a_read_only_copy():
-    # EncoderParams derives its attention table from the bits once, so a
-    # write must fail rather than leave that table stale
+def test_fractal_mask_is_a_plain_bool_array():
     mask = build_fractal_mask(build_layout(GridSpec(4, 4, 2, 1)))
-    assert not mask.bits[0, 17]
-    with pytest.raises(ValueError):
-        mask.bits[0, 17] = True
-    with pytest.raises(AttributeError):
-        mask.bits = np.ones_like(mask.bits)
-    assert not mask.bits[0, 17]
-
-    mine = np.eye(3, dtype=bool)
-    mask = AttentionMask(mine)
-    mine[0, 1] = True  # the caller's array stays writable and unshared
-    assert not mask.bits[0, 1]
+    assert type(mask) is np.ndarray and mask.dtype == bool
+    assert mask.shape == (21, 21)
+    assert not mask[0, 17] and mask[0, 16]  # its parent only
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +223,14 @@ def test_csv_export_roundtrip(tmp_path):
     text = path.read_text()
     rows = [line.split(",") for line in text.strip().split("\n")]
     parsed = np.array(rows, dtype=int).astype(bool)
-    assert np.array_equal(parsed, mask.bits)
+    assert np.array_equal(parsed, mask)
     assert "0" in text and "1" in text
     write_mask_csv(mask, str(tmp_path / "again.csv"))
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_pgm_export_format(tmp_path):
-    mask = AttentionMask(np.array([[True, False], [False, True]]))
+    mask = np.array([[True, False], [False, True]])
     path = tmp_path / "mask.pgm"
     write_mask_pgm(mask, str(path))
     lines = path.read_text().splitlines()
