@@ -22,20 +22,14 @@ from .grid import GridSpec, build_layout, max_levels
 from .harness import (
     PERM_KINDS,
     config_echo,
-    gen_marked_patch,
-    gen_same_block_pair,
     gradcheck,
     permutation_test,
     randomize_params,
+    task_named,
     train,
 )
-from .mask import build_fractal_mask, build_full_mask, write_mask_csv, write_mask_pgm
-from .posenc import (
-    alibi_slopes,
-    assemble_posenc,
-    sincos2d,
-    write_postable_csv,
-)
+from .mask import build_fractal_mask, build_full_mask, mask_csv, mask_pgm
+from .posenc import alibi_slopes, assemble_posenc, csv_row, postable_csv, sincos2d
 from .rng import Rng, substream_seed
 
 
@@ -142,19 +136,12 @@ def grid_from_values(values: dict) -> GridSpec:
 
 def encoder_config_from_values(values: dict) -> EncoderConfig:
     grid = grid_from_values(values)
-    task = values["task"]
-    if task == "marked":
-        n_classes = grid.n_h * grid.n_w
-    elif task == "pair":
-        n_classes = 2
-    else:
-        raise ConfigError(f"task must be 'marked' or 'pair', got {task!r}")
     return EncoderConfig(
         grid=grid,
         d=_int(values, "dim"),
         n_heads=_int(values, "heads"),
         n_layers=_int(values, "layers"),
-        n_classes=n_classes,
+        n_classes=task_named(values["task"]).n_classes(grid),
         patch_size=_int(values, "patch"),
         mlp_ratio=_int(values, "mlp_ratio"),
         scheme=values["scheme"],
@@ -209,10 +196,7 @@ def cmd_mask(args) -> int:
         built = build_full_mask(layout.total)
     else:
         built = build_fractal_mask(layout)
-    if args.format == "pgm":
-        write_mask_pgm(built, args.out)
-    else:
-        write_mask_csv(built, args.out)
+    write_text(args.out, mask_pgm(built) if args.format == "pgm" else mask_csv(built))
     return 0
 
 
@@ -237,7 +221,7 @@ def cmd_posenc(args) -> int:
             seed=substream_seed(_int(values, "seed"), 1),
             policy=values["policy"], tau=_float(values, "tau"),
         )
-        write_postable_csv(table, args.out)
+        write_text(args.out, postable_csv(table))
         return 0
     if scheme != "sincos2d":
         raise ConfigError(
@@ -247,21 +231,17 @@ def cmd_posenc(args) -> int:
     n_h, n_w = parse_grid(values["grid"])
     table = sincos2d(n_h, n_w, _int(values, "dim"), _float(values, "tau"))
     rows = table.reshape(n_h * n_w, -1)
-    lines = [",".join(repr(float(v)) for v in row) for row in rows]
-    write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, "".join(csv_row(row) + "\n" for row in rows))
     return 0
 
 
 def cmd_train(args) -> int:
     values = resolve_run_config(args)
     config = encoder_config_from_values(values)
-    task = values["task"]
-    data_seed = _int(values, "data_seed")
-    count = _int(values, "count")
-    if task == "marked":
-        dataset = gen_marked_patch(config.grid, config.patch_size, count, data_seed)
-    else:
-        dataset = gen_same_block_pair(config.grid, config.patch_size, count, data_seed)
+    dataset = task_named(values["task"]).sample(
+        config.grid, config.patch_size, _int(values, "count"),
+        _int(values, "data_seed"),
+    )
     params = init_params(config)
     report = train(
         config, dataset,

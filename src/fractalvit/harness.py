@@ -4,16 +4,19 @@ The two tasks are deliberately tiny and noise-free so the symmetry caps
 are exact: marked-patch (classify which patch differs from the
 background) and same-block-pair (do two marked patches share a level-1
 block). Evaluation sets are deterministic enumerations, not samples.
+``TASKS`` maps each task name to its class count, sampler and
+enumeration; the CLI and ``default_eval_set`` read tasks only from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, Tensor
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -26,7 +29,7 @@ from .encoder import (
     run_stages,
 )
 from .errors import ConfigError
-from .grid import GridSpec, TokenLayout
+from .grid import GridSpec, TokenLayout, build_layout, max_levels
 from .rng import Rng, substream_seed
 
 BACKGROUND = 0.25
@@ -38,7 +41,7 @@ PERM_KINDS = ("any", "within-block", "block", "cross-block-transposition")
 @dataclass
 class ToyDataset:
     samples: list  # (image, label) pairs
-    task: str      # "marked" or "pair"
+    task: str      # a key of TASKS
     seed: int
     n_classes: int
     grid: GridSpec
@@ -48,19 +51,15 @@ class ToyDataset:
         return len(self.samples)
 
 
-def _blank_image(grid: GridSpec, patch_size: int) -> np.ndarray:
-    return np.full(
-        (grid.n_h * patch_size, grid.n_w * patch_size, 3), BACKGROUND
-    )
-
-
-def _paint(image: np.ndarray, pos: int, grid: GridSpec, patch_size: int) -> None:
-    i, j = divmod(pos, grid.n_w)
-    image[
-        i * patch_size:(i + 1) * patch_size,
-        j * patch_size:(j + 1) * patch_size,
-        :,
-    ] = MARK
+def _task_image(grid: GridSpec, patch_size: int, positions) -> np.ndarray:
+    """Background image with the patches at ``positions`` (row-major patch
+    indices) marked."""
+    image = np.full((grid.n_h * patch_size, grid.n_w * patch_size, 3), BACKGROUND)
+    for pos in positions:
+        i, j = divmod(pos, grid.n_w)
+        image[i * patch_size:(i + 1) * patch_size,
+              j * patch_size:(j + 1) * patch_size] = MARK
+    return image
 
 
 def gen_marked_patch(grid: GridSpec, patch_size: int, count: int,
@@ -71,62 +70,46 @@ def gen_marked_patch(grid: GridSpec, patch_size: int, count: int,
         raise ConfigError(f"count must be >= 1, got {count}")
     n = grid.n_h * grid.n_w
     rng = Rng(seed)
-    samples = []
-    for _ in range(count):
-        pos = rng.below(n)
-        image = _blank_image(grid, patch_size)
-        _paint(image, pos, grid, patch_size)
-        samples.append((image, pos))
+    positions = [rng.below(n) for _ in range(count)]
+    samples = [(_task_image(grid, patch_size, (pos,)), pos) for pos in positions]
     return ToyDataset(samples, "marked", seed, n, grid, patch_size)
 
 
 def enumerate_marked_patch_eval(grid: GridSpec, patch_size: int) -> ToyDataset:
     """Every marker position once, in order; the exact-cap eval set."""
     n = grid.n_h * grid.n_w
-    samples = []
-    for pos in range(n):
-        image = _blank_image(grid, patch_size)
-        _paint(image, pos, grid, patch_size)
-        samples.append((image, pos))
+    samples = [(_task_image(grid, patch_size, (pos,)), pos) for pos in range(n)]
     return ToyDataset(samples, "marked", 0, n, grid, patch_size)
 
 
-def _block_cell(grid: GridSpec, pos: int):
-    """Level-1 block cell of a patch position, or None outside coverage."""
-    i, j = divmod(pos, grid.n_w)
-    bh, bw = grid.n_h // grid.k, grid.n_w // grid.k
-    bi, bj = i // grid.k, j // grid.k
-    if bi >= bh or bj >= bw:
-        return None
-    return bi, bj
+def _block_parents(grid: GridSpec) -> tuple:
+    """Each patch's level-1 block: its parent token in the grid's layout
+    with one summary level, or None for a patch outside the
+    floor-truncated level-1 grid. Raises ``ConfigError`` unless the grid
+    has both pair labels: a block, and a patch outside it."""
+    one_level = min(1, max_levels(grid.n_h, grid.n_w, grid.k))
+    layout = build_layout(replace(grid, levels=one_level))
+    if not (layout.levels and layout.n_regular > grid.k ** 2):
+        raise ConfigError(
+            f"{grid.n_h}x{grid.n_w} grid with k={grid.k} cannot produce both "
+            "pair labels"
+        )
+    return layout.parent[:layout.n_regular]
 
 
-def _pair_label(grid: GridSpec, p: int, q: int) -> int:
-    a, b = _block_cell(grid, p), _block_cell(grid, q)
-    return int(a is not None and a == b)
+def _same_block(parents, p: int, q: int) -> int:
+    return int(parents[p] is not None and parents[p] == parents[q])
 
 
 def _pair_universe(grid: GridSpec):
     """Every pair (p < q) of distinct patches, split into same-block and
     cross-block pairs; a grid without both kinds raises ``ConfigError``."""
-    n = grid.n_h * grid.n_w
+    parents = _block_parents(grid)
     same, cross = [], []
-    for p in range(n):
-        for q in range(p + 1, n):
-            (same if _pair_label(grid, p, q) else cross).append((p, q))
-    if not same or not cross:
-        raise ConfigError(
-            f"{grid.n_h}x{grid.n_w} grid with k={grid.k} cannot produce both "
-            "pair labels"
-        )
+    for p in range(len(parents)):
+        for q in range(p + 1, len(parents)):
+            (same if _same_block(parents, p, q) else cross).append((p, q))
     return same, cross
-
-
-def _pair_image(grid: GridSpec, patch_size: int, p: int, q: int) -> np.ndarray:
-    image = _blank_image(grid, patch_size)
-    _paint(image, p, grid, patch_size)
-    _paint(image, q, grid, patch_size)
-    return image
 
 
 def gen_same_block_pair(grid: GridSpec, patch_size: int, count: int,
@@ -138,8 +121,8 @@ def gen_same_block_pair(grid: GridSpec, patch_size: int, count: int,
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    _pair_universe(grid)
-    n = grid.n_h * grid.n_w
+    parents = _block_parents(grid)
+    n = len(parents)
     rng = Rng(seed)
     samples = []
     for idx in range(count):
@@ -147,11 +130,9 @@ def gen_same_block_pair(grid: GridSpec, patch_size: int, count: int,
         while True:
             p = rng.below(n)
             q = rng.below(n)
-            if p == q:
-                continue
-            if _pair_label(grid, p, q) == target:
+            if p != q and _same_block(parents, p, q) == target:
                 break
-        samples.append((_pair_image(grid, patch_size, p, q), target))
+        samples.append((_task_image(grid, patch_size, (p, q)), target))
     return ToyDataset(samples, "pair", seed, 2, grid, patch_size)
 
 
@@ -163,15 +144,37 @@ def enumerate_same_block_pair_eval(grid: GridSpec,
     same, cross = _pair_universe(grid)
     m = min(len(same), len(cross))
 
-    def strided(pairs):
-        return [pairs[(i * len(pairs)) // m] for i in range(m)]
+    def strided(pairs, label):
+        return [(_task_image(grid, patch_size, pairs[(i * len(pairs)) // m]), label)
+                for i in range(m)]
 
-    samples = []
-    for p, q in strided(same):
-        samples.append((_pair_image(grid, patch_size, p, q), 1))
-    for p, q in strided(cross):
-        samples.append((_pair_image(grid, patch_size, p, q), 0))
-    return ToyDataset(samples, "pair", 0, 2, grid, patch_size)
+    return ToyDataset(strided(same, 1) + strided(cross, 0), "pair", 0, 2,
+                      grid, patch_size)
+
+
+class Task(NamedTuple):
+    """One toy task: its class count on a grid, its seeded sampler
+    ``sample(grid, patch_size, count, seed)`` and its deterministic eval
+    enumeration ``enumerate(grid, patch_size)``."""
+
+    n_classes: Callable[[GridSpec], int]
+    sample: Callable[[GridSpec, int, int, int], ToyDataset]
+    enumerate: Callable[[GridSpec, int], ToyDataset]
+
+
+TASKS = {
+    "marked": Task(lambda grid: grid.n_h * grid.n_w, gen_marked_patch,
+                   enumerate_marked_patch_eval),
+    "pair": Task(lambda grid: 2, gen_same_block_pair,
+                 enumerate_same_block_pair_eval),
+}
+
+
+def task_named(name: str) -> Task:
+    """The ``TASKS`` entry of ``name``; any other name is a ``ConfigError``."""
+    if name not in TASKS:
+        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {name!r}")
+    return TASKS[name]
 
 
 # ----------------------------------------------------------------------
@@ -238,17 +241,20 @@ def config_echo(config: EncoderConfig) -> dict:
 EVAL_CHUNK = 64
 
 
-def _hits(logits: np.ndarray, labels) -> int:
-    """Rows whose first maximal logit is at their label."""
+def _hits(logits: np.ndarray, labels) -> float:
+    """Rows whose first maximal logit is at their label; NaN when a logit
+    is not finite, since an overflowed row has no meaningful maximum."""
+    if not np.isfinite(logits).all():
+        return math.nan
     return int((np.argmax(logits, axis=1) == labels).sum())
 
 
 def evaluate(config: EncoderConfig, params: EncoderParams,
              dataset: ToyDataset) -> float:
     """Accuracy of ``params`` on ``dataset``: the share of samples whose
-    first maximal logit is at their label. The samples run in dataset
-    order through ``forward_batch`` on a non-recording tape, in chunks
-    of ``EVAL_CHUNK`` images."""
+    first maximal logit is at their label, or NaN if any logit is not
+    finite. The samples run in dataset order through ``forward_batch`` on
+    a non-recording tape, in chunks of ``EVAL_CHUNK`` images."""
     hits = 0
     samples = dataset.samples
     for start in range(0, len(samples), EVAL_CHUNK):
@@ -259,11 +265,8 @@ def evaluate(config: EncoderConfig, params: EncoderParams,
 
 
 def default_eval_set(config: EncoderConfig, dataset: ToyDataset) -> ToyDataset:
-    if dataset.task == "marked":
-        return enumerate_marked_patch_eval(dataset.grid, dataset.patch_size)
-    if dataset.task == "pair":
-        return enumerate_same_block_pair_eval(dataset.grid, dataset.patch_size)
-    raise ConfigError(f"unknown task {dataset.task!r}")
+    """The enumeration of the dataset's task on the dataset's grid."""
+    return task_named(dataset.task).enumerate(dataset.grid, dataset.patch_size)
 
 
 def _check_against_config(config: EncoderConfig, data: ToyDataset,
@@ -353,32 +356,34 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
         if eval_is_train:
             report.eval_accs.append(acc)
 
-    for _ in range(epochs):
-        order = list(range(n))
-        shuffle_rng.shuffle(order)
-        batch_losses = []
-        for start in range(0, n, batch):
-            chunk = order[start:start + batch]
-            labels = [dataset.samples[idx][1] for idx in chunk]
-            tape = Tape()
-            logits = [] if pending else None
-            objective = batch_loss(
-                [dataset.samples[idx][0] for idx in chunk], labels,
-                config, params, tape, logits_out=logits,
-            )
-            if pending:
-                record_train_acc(_hits(logits[0], labels) / n)
-                pending = False
-            value = float(objective.data)
-            if not math.isfinite(value):
-                report.diverged = True
-                break
-            batch_losses.append(value)
-            tape.backward(objective)
+    # an overflow shows as a non-finite loss, gradient norm or accuracy,
+    # and each of those is reported as divergence, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = list(range(n))
+            shuffle_rng.shuffle(order)
+            batch_losses = []
+            for start in range(0, n, batch):
+                chunk = order[start:start + batch]
+                labels = [dataset.samples[idx][1] for idx in chunk]
+                tape = Tape()
+                logits = [] if pending else None
+                objective = batch_loss(
+                    [dataset.samples[idx][0] for idx in chunk], labels,
+                    config, params, tape, logits_out=logits,
+                )
+                if pending:
+                    record_train_acc(_hits(logits[0], labels) / n)
+                    pending = False
+                value = float(objective.data)
+                if not math.isfinite(value):
+                    report.diverged = True
+                    break
+                batch_losses.append(value)
+                tape.backward(objective)
 
-            sq_norm = 0.0
-            grads = []
-            with np.errstate(over="ignore", invalid="ignore"):
+                sq_norm = 0.0
+                grads = []
                 for _, tensor, row_mask in trainables:
                     g = tensor.grad
                     if g is None:
@@ -387,31 +392,35 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
                         g = g * row_mask[:, None]
                     grads.append(g)
                     sq_norm += float((g * g).sum())
-            if not math.isfinite(sq_norm):
-                # exploded gradients freeze under clipping; call it divergence
-                report.diverged = True
+                if not math.isfinite(sq_norm):
+                    # exploded gradients freeze under clipping; call it divergence
+                    report.diverged = True
+                    break
+                clip = 1.0 if sq_norm <= 1.0 else 1.0 / math.sqrt(sq_norm)
+                lr_t = lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
+                for (_, tensor, _), g in zip(trainables, grads):
+                    tensor.data -= (lr_t * clip) * g
+                params.zero_grads()
+                step += 1
+            if batch_losses:
+                report.losses.append(sum(batch_losses) / len(batch_losses))
+                if not full_batch:
+                    record_train_acc(evaluate(config, params, dataset))
+                if not eval_is_train:
+                    report.eval_accs.append(evaluate(config, params, eval_set))
+                pending = full_batch
+            if report.diverged:
                 break
-            clip = 1.0 if sq_norm <= 1.0 else 1.0 / math.sqrt(sq_norm)
-            lr_t = lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
-            for (_, tensor, _), g in zip(trainables, grads):
-                tensor.data -= (lr_t * clip) * g
-            params.zero_grads()
-            step += 1
-        if batch_losses:
-            report.losses.append(sum(batch_losses) / len(batch_losses))
-            if not full_batch:
-                record_train_acc(evaluate(config, params, dataset))
-            if not eval_is_train:
-                report.eval_accs.append(evaluate(config, params, eval_set))
-            pending = full_batch
-        if report.diverged:
-            break
-    if pending:
-        record_train_acc(evaluate(config, params, dataset))
+        if pending:
+            record_train_acc(evaluate(config, params, dataset))
 
-    report.final_eval_acc = (
-        report.eval_accs[-1] if report.eval_accs
-        else evaluate(config, params, eval_set)
+        report.final_eval_acc = (
+            report.eval_accs[-1] if report.eval_accs
+            else evaluate(config, params, eval_set)
+        )
+    report.diverged = report.diverged or any(
+        math.isnan(acc)
+        for acc in report.train_accs + report.eval_accs + [report.final_eval_acc]
     )
     return report
 
@@ -430,22 +439,12 @@ def randomize_params(params: EncoderParams, rng: Rng) -> None:
     """
     for name, tensor, row_mask in params.trainable_items():
         draw = rng.normal_array(tensor.data.shape, std=0.2)
-        if name.endswith("_gain") or name.endswith("gain"):
+        if name.endswith("gain"):
             draw = 1.0 + draw
         if row_mask is None:
             tensor.data[...] = draw
         else:
             tensor.data[row_mask] = draw[row_mask]
-
-
-def permute_patches(image: np.ndarray, perm, grid: GridSpec,
-                    patch_size: int) -> np.ndarray:
-    """New image whose patch t is the old image's patch perm[t]."""
-    n_h, n_w, ps = grid.n_h, grid.n_w, patch_size
-    patches = image.reshape(n_h, ps, n_w, ps, -1).transpose(0, 2, 1, 3, 4)
-    moved = patches.reshape(n_h * n_w, ps, ps, -1)[list(perm)]
-    return (moved.reshape(n_h, n_w, ps, ps, -1).transpose(0, 2, 1, 3, 4)
-            .reshape(image.shape))
 
 
 def _by_parent(layout: TokenLayout, level: int) -> dict:
@@ -525,22 +524,27 @@ def sample_permutation(layout: TokenLayout, kind: str, rng: Rng):
 def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
                      trials: int, seed: int) -> float:
     """Max over trials of |logits(image) - logits(permuted image)|, with
-    random images and the given (typically randomized) params."""
+    random images and the given (typically randomized) params.
+
+    The permuted image is never built: its patch rows are the image's
+    ``patch_rows`` reordered by the permutation, and they run through
+    ``forward_stages`` as ``forward`` would run them."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = Rng(seed)
+    stages = forward_stages(config, params.layout)
+    notape = Tape(recording=False)
     worst = 0.0
     for _ in range(trials):
         image = rng.uniform_array(config.image_shape)
         perm, summary_perm = sample_permutation(params.layout, kind, rng)
         base = forward(image, config, params).data
-        permuted_image = permute_patches(image, perm, config.grid,
-                                         config.patch_size)
+        permuted_rows = Tensor(patch_rows([image], config).data[perm])
         trial_params = (
             params if summary_perm is None
             else params.with_permuted_summaries(summary_perm)
         )
-        other = forward(permuted_image, config, trial_params).data
+        other = run_stages(stages, permuted_rows, trial_params, notape).data[0]
         worst = max(worst, float(np.abs(base - other).max()))
     return worst
 

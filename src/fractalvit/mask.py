@@ -1,5 +1,5 @@
 """Attention masks: the self-similar fractal pattern, the plain full mask,
-and CSV / PGM export.
+and their CSV / PGM text.
 
 A mask is a plain boolean (n, n) ndarray, rows = queries, columns = keys;
 true means attention is allowed. The fractal pattern is: full attention
@@ -38,18 +38,16 @@ def build_fractal_mask(layout: TokenLayout) -> np.ndarray:
     return bits
 
 
-def write_mask_csv(mask: np.ndarray, path: str) -> None:
+def mask_csv(mask: np.ndarray) -> str:
     """Rows of comma-separated 0/1, no header."""
     lines = [",".join("1" if b else "0" for b in row) for row in mask]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_mask_pgm(mask: np.ndarray, path: str) -> None:
+def mask_pgm(mask: np.ndarray) -> str:
     """P2 (ASCII) PGM: 0 = black = blocked, 255 = white = allowed."""
     n = len(mask)
     lines = ["P2", f"{n} {n}", "255"]
     for row in mask:
         lines.append(" ".join("255" if b else "0" for b in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

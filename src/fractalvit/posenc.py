@@ -176,11 +176,13 @@ def assemble_posenc(scheme: str, layout: TokenLayout, d: int, seed: int,
     return PosTable(vectors=vectors, trainable=trainable)
 
 
-def write_postable_csv(table: PosTable, path: str) -> None:
+def csv_row(values) -> str:
+    """Comma-separated ``repr`` of each value as a float: text that reads
+    back to the same float64 bits."""
+    return ",".join(repr(float(v)) for v in values)
+
+
+def postable_csv(table: PosTable) -> str:
     """One row per token: index, then the d vector components."""
-    lines = []
-    for idx, vec in enumerate(table.vectors):
-        lines.append(str(idx) + "," + ",".join(repr(float(v)) for v in vec))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "".join(f"{idx},{csv_row(vec)}\n" for idx, vec in enumerate(table.vectors))
 

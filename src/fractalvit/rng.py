@@ -6,7 +6,8 @@ platform and interpreter version.
 
 The array draws step many lanes of the same stream at once in numpy
 (see "lane-parallel draws" below). They return the same bits, and leave
-the same state, as calling the scalar draw once per element.
+the same state, as calling the scalar draw once per element (for the
+truncated normal: ``normal()`` redrawn until it lies within the clip).
 """
 
 from __future__ import annotations
@@ -92,13 +93,6 @@ class Rng:
         u2 = self.random()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def truncated_normal(self, std: float = 1.0, clip: float = 2.0) -> float:
-        """Normal draw rejected until within ``clip`` standard deviations."""
-        while True:
-            z = self.normal()
-            if abs(z) <= clip:
-                return z * std
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
@@ -141,23 +135,19 @@ class Rng:
         return (self._normals(n) * std).reshape(shape)
 
     def truncated_normal_array(self, shape, std: float, clip: float = 2.0) -> np.ndarray:
-        """``truncated_normal(std, clip)`` draws in row-major order.
+        """``normal() * std`` draws in row-major order, each rejected and
+        redrawn until it lies within ``clip`` standard deviations.
 
         Each round draws one normal per value still missing, so no round
         draws past the last accepted value and the state ends where the
-        scalar loop would leave it.
+        per-value rejection loop would leave it.
         """
         n = int(np.prod(shape))
         parts = [np.empty(0)]  # keeps the result float64 when n == 0
         missing = n
         while missing:
-            if 2 * missing < LANES_FROM:
-                z = np.array(
-                    [self.truncated_normal(1.0, clip) for _ in range(missing)]
-                )
-            else:
-                z = self._normals(missing)
-                z = z[np.abs(z) <= clip]
+            z = self._normals(missing)
+            z = z[np.abs(z) <= clip]
             parts.append(z)
             missing -= z.size
         return (np.concatenate(parts) * std).reshape(shape)

@@ -139,6 +139,7 @@ def test_criterion_3_positional_encoding_algebra():
 # 4. gradcheck on the tiny preset
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_gradcheck_tiny_preset():
     config = model_config("sincos2d", "summary", "fractal")
     start = time.perf_counter()
@@ -223,6 +224,7 @@ def _orbit_score(config, params, dataset, orbits):
     return hits / len(labels), spread
 
 
+@pytest.mark.slow
 def test_criterion_6_marked_patch_suite():
     start = time.perf_counter()
     eval_set = enumerate_marked_patch_eval(GRID, 4)
@@ -284,6 +286,7 @@ def test_criterion_6_marked_patch_suite():
 # 7. same-block-pair task
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_same_block_pair_suite():
     start = time.perf_counter()
     dataset = enumerate_same_block_pair_eval(GRID, 4)

@@ -4,15 +4,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalvit import autodiff, harness
 from fractalvit.autodiff import Tape
-from fractalvit.encoder import EncoderConfig, batch_loss, init_params, save_checkpoint
+from fractalvit.encoder import (
+    EncoderConfig,
+    batch_loss,
+    extract_patches,
+    forward,
+    init_params,
+    patch_rows,
+    save_checkpoint,
+)
 from fractalvit.errors import ConfigError
-from fractalvit.grid import GridSpec, build_layout
+from fractalvit.grid import GridSpec, build_layout, max_levels
 from fractalvit.harness import (
     BACKGROUND,
     MARK,
+    TASKS,
+    _block_parents,
+    _pair_universe,
+    _same_block,
     enumerate_marked_patch_eval,
     enumerate_same_block_pair_eval,
     evaluate,
@@ -20,9 +34,9 @@ from fractalvit.harness import (
     gen_same_block_pair,
     gradcheck,
     permutation_test,
-    permute_patches,
     randomize_params,
     sample_permutation,
+    task_named,
     train,
 )
 from fractalvit.rng import Rng, substream_seed
@@ -99,10 +113,81 @@ def test_pair_labels_by_block():
 def test_pair_known_cases():
     # (0,0) and (1,1) share the top-left 2x2 block; (0,0) and (0,2) do not
     assert GRID.k == 2
-    from fractalvit.harness import _pair_label
+    parents = _block_parents(GRID)
+    assert _same_block(parents, 0 * 4 + 0, 1 * 4 + 1) == 1
+    assert _same_block(parents, 0 * 4 + 0, 0 * 4 + 2) == 0
+    # 5x5 at k=2: row and column 4 lie outside the floor-truncated 2x2
+    # level-1 grid, so two patches there share no block
+    parents = _block_parents(GridSpec(5, 5, 2, 2))
+    assert _same_block(parents, 4 * 5 + 3, 4 * 5 + 4) == 0
+    assert _same_block(parents, 3 * 5 + 2, 3 * 5 + 3) == 1
 
-    assert _pair_label(GRID, 0 * 4 + 0, 1 * 4 + 1) == 1
-    assert _pair_label(GRID, 0 * 4 + 0, 0 * 4 + 2) == 0
+
+@st.composite
+def grids(draw):
+    """Grids up to 9x9 with k = 2-4 and any level count they allow."""
+    n_h, n_w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    k = draw(st.integers(2, 4))
+    return GridSpec(n_h, n_w, k, draw(st.integers(0, max_levels(n_h, n_w, k))))
+
+
+def block_rule_universe(grid):
+    """Brute-force pair universe: p and q share a block iff both lie in the
+    same (i // k, j // k) cell of the floor-truncated level-1 grid."""
+    def cell(pos):
+        i, j = divmod(pos, grid.n_w)
+        inside = i // grid.k < grid.n_h // grid.k and j // grid.k < grid.n_w // grid.k
+        return (i // grid.k, j // grid.k) if inside else None
+
+    n = grid.n_h * grid.n_w
+    same, cross = [], []
+    for p in range(n):
+        for q in range(p + 1, n):
+            shared = cell(p) is not None and cell(p) == cell(q)
+            (same if shared else cross).append((p, q))
+    return same, cross
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=grids())
+def test_layout_parent_pair_labels_equal_the_block_rule(grid):
+    same, cross = block_rule_universe(grid)
+    if same and cross:
+        assert _pair_universe(grid) == (same, cross)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=grids())
+def test_both_labels_check_raises_exactly_when_a_label_is_missing(grid):
+    same, cross = block_rule_universe(grid)
+    if same and cross:
+        _block_parents(grid)
+        return
+    for build in (_block_parents, _pair_universe,
+                  lambda g: gen_same_block_pair(g, 1, 4, 0)):
+        with pytest.raises(ConfigError, match="cannot produce both pair labels"):
+            build(grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids(), seed=st.integers(0, 2 ** 16))
+def test_task_class_counts_equal_their_datasets(grid, seed):
+    for name, task in TASKS.items():
+        try:
+            datasets = [task.sample(grid, 1, 3, seed), task.enumerate(grid, 1)]
+        except ConfigError:
+            assert name == "pair"  # a grid without both pair labels
+            continue
+        for data in datasets:
+            assert (data.task, data.n_classes) == (name, task.n_classes(grid))
+            assert all(0 <= label < data.n_classes for _, label in data.samples)
+
+
+def test_unknown_task_lists_the_known_ones():
+    assert task_named("pair") is TASKS["pair"]
+    with pytest.raises(ConfigError, match=re.escape(
+            "task must be one of ('marked', 'pair'), got 'mirror'")):
+        task_named("mirror")
 
 
 def test_pair_balance_within_one():
@@ -169,6 +254,18 @@ def test_divergence_is_reported_and_halts():
     report = train(config, ds, epochs=50, lr=1e160, batch=8)
     assert report.diverged
     assert len(report.losses) < 50
+
+
+def test_overflowed_logits_score_nan_and_mark_the_run_diverged():
+    # at d=32 the one step at lr 1e308 leaves parameters whose logits
+    # overflow: the loss recorded before it is finite, the accuracies after
+    # it are NaN, and no RuntimeWarning escapes
+    ds = gen_marked_patch(GRID, 4, 4, seed=0)
+    report = train(small_config(d=32), ds, epochs=1, lr=1e308, batch=4)
+    assert report.diverged
+    assert math.isfinite(report.losses[0])
+    assert math.isnan(report.train_accs[0]) and math.isnan(report.eval_accs[0])
+    assert math.isnan(report.final_eval_acc)
 
 
 def test_report_text_and_csv_shape():
@@ -315,27 +412,59 @@ def permute_patches_by_loop(image, perm, grid, patch_size):
     (GRID, 4), (GridSpec(3, 5, 2, 1), 2), (GridSpec(1, 4, 2, 0), 3),
 ])
 def test_permute_patches_equals_the_per_patch_loop(grid, patch):
+    # permuting the patch rows is permuting the image's patches, then
+    # extracting them; the identity permutation leaves the rows alone
+    config = EncoderConfig(grid=grid, d=4, n_heads=1, n_layers=1, n_classes=2,
+                           patch_size=patch)
     rng = np.random.default_rng(17)
     n = grid.n_h * grid.n_w
-    image = rng.standard_normal((grid.n_h * patch, grid.n_w * patch, 3))
+    image = rng.standard_normal(config.image_shape)
+    rows = patch_rows([image], config).data
     for _ in range(5):
         perm = rng.permutation(n)
-        out = permute_patches(image, perm, grid, patch)
-        assert out.dtype == image.dtype and out.flags.c_contiguous
-        assert np.array_equal(out, permute_patches_by_loop(image, perm, grid, patch))
-        assert not np.shares_memory(out, image)
-    assert np.array_equal(permute_patches(image, list(range(n)), grid, patch), image)
+        moved = permute_patches_by_loop(image, perm, grid, patch)
+        assert np.array_equal(extract_patches(moved, config), rows[perm])
+    assert np.array_equal(rows[np.arange(n)], extract_patches(image, config))
 
 
-def test_permute_patches_moves_blocks():
-    image = np.zeros((16, 16, 3))
-    image[0:4, 0:4, :] = 1.0  # patch 0
-    perm = list(range(16))
-    perm[5] = 0
-    perm[0] = 5
-    out = permute_patches(image, perm, GRID, 4)
-    assert np.all(out[4:8, 4:8, :] == 1.0)  # dest patch 5 took old patch 0
-    assert np.all(out[0:4, 0:4, :] == 0.0)
+@settings(max_examples=40, deadline=None)
+@given(grid=grids(), patch=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_patch_rows_permute_as_the_image_does(grid, patch, seed):
+    config = EncoderConfig(grid=grid, d=4, n_heads=1, n_layers=1, n_classes=2,
+                           patch_size=patch)
+    rng = np.random.default_rng(seed)
+    image = rng.standard_normal(config.image_shape)
+    perm = rng.permutation(grid.n_h * grid.n_w)
+    moved = permute_patches_by_loop(image, perm, grid, patch)
+    assert np.array_equal(extract_patches(moved, config),
+                          patch_rows([image], config).data[perm])
+
+
+def permutation_test_by_image(config, params, kind, trials, seed):
+    """Reference ``permutation_test``: build each permuted image and run
+    ``forward`` on it."""
+    rng = Rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        image = rng.uniform_array(config.image_shape)
+        perm, summary_perm = sample_permutation(params.layout, kind, rng)
+        trial_params = (params if summary_perm is None
+                        else params.with_permuted_summaries(summary_perm))
+        moved = permute_patches_by_loop(image, perm, config.grid, config.patch_size)
+        base = forward(image, config, params).data
+        other = forward(moved, config, trial_params).data
+        worst = max(worst, float(np.abs(base - other).max()))
+    return worst
+
+
+@pytest.mark.parametrize("kind", harness.PERM_KINDS)
+def test_permutation_test_equals_forwarding_the_permuted_image(kind):
+    config = small_config(grid=GridSpec(4, 4, 2, 2), scheme="alibi2d")
+    params = init_params(config)
+    randomize_params(params, Rng(3))
+    expected = permutation_test_by_image(config, params, kind, 3, seed=11)
+    assert permutation_test(config, params, kind, 3, seed=11) == expected
+    assert expected > 1e-6  # alibi2d tells every kind apart
 
 
 def test_sample_permutation_kinds():

@@ -8,8 +8,8 @@ from fractalvit.grid import GridSpec, build_layout, max_levels
 from fractalvit.mask import (
     build_fractal_mask,
     build_full_mask,
-    write_mask_csv,
-    write_mask_pgm,
+    mask_csv,
+    mask_pgm,
 )
 
 
@@ -215,25 +215,20 @@ def test_fractal_mask_is_a_plain_bool_array():
 # exports
 # ----------------------------------------------------------------------
 
-def test_csv_export_roundtrip(tmp_path):
+def test_csv_export_roundtrip():
     layout = build_layout(GridSpec(4, 4, 2, 1))
     mask = build_fractal_mask(layout)
-    path = tmp_path / "mask.csv"
-    write_mask_csv(mask, str(path))
-    text = path.read_text()
+    text = mask_csv(mask)
     rows = [line.split(",") for line in text.strip().split("\n")]
     parsed = np.array(rows, dtype=int).astype(bool)
     assert np.array_equal(parsed, mask)
     assert "0" in text and "1" in text
-    write_mask_csv(mask, str(tmp_path / "again.csv"))
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    assert mask_csv(mask) == text
 
 
-def test_pgm_export_format(tmp_path):
+def test_pgm_export_format():
     mask = np.array([[True, False], [False, True]])
-    path = tmp_path / "mask.pgm"
-    write_mask_pgm(mask, str(path))
-    lines = path.read_text().splitlines()
+    lines = mask_pgm(mask).splitlines()
     assert lines[0] == "P2"
     assert lines[1] == "2 2"
     assert lines[2] == "255"

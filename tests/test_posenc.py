@@ -10,7 +10,7 @@ from fractalvit.posenc import (
     assemble_posenc,
     init_learned,
     sincos2d,
-    write_postable_csv,
+    postable_csv,
 )
 
 
@@ -265,11 +265,9 @@ def test_assemble_same_seed_reproducible():
 # exports
 # ----------------------------------------------------------------------
 
-def test_postable_csv(tmp_path):
+def test_postable_csv():
     table = assemble_posenc("sincos2d", tiny_layout(), 4, seed=0, policy="summary")
-    path = tmp_path / "pe.csv"
-    write_postable_csv(table, str(path))
-    lines = path.read_text().strip().split("\n")
+    lines = postable_csv(table).strip().split("\n")
     assert len(lines) == 21
     first = lines[0].split(",")
     assert first[0] == "0"
