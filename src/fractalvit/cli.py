@@ -30,7 +30,7 @@ from .harness import (
 )
 from .mask import build_fractal_mask, build_full_mask, mask_csv, mask_pgm
 from .posenc import alibi_slopes, assemble_posenc, csv_row, postable_csv, sincos2d
-from .rng import Rng, substream_seed
+from .rng import Rng, check_seed, substream_seed
 
 
 class AssertionFlagError(Exception):
@@ -216,9 +216,11 @@ def cmd_posenc(args) -> int:
         return 0
     if args.table:
         layout = build_layout(grid_from_values(values))
+        seed = _int(values, "seed")
+        check_seed(seed, "seed")
         table = assemble_posenc(
             scheme, layout, _int(values, "dim"),
-            seed=substream_seed(_int(values, "seed"), 1),
+            seed=substream_seed(seed, 1),
             policy=values["policy"], tau=_float(values, "tau"),
         )
         write_text(args.out, postable_csv(table))

@@ -29,7 +29,7 @@ from .errors import ConfigError, ContractError, ShapeError
 from .grid import GridSpec, TokenLayout, build_layout
 from .mask import build_fractal_mask, build_full_mask
 from .posenc import alibi2d_bias, assemble_posenc, check_scheme_policy, check_tau
-from .rng import Rng, substream_seed
+from .rng import Rng, check_seed, substream_seed
 
 CHECKPOINT_MAGIC = b"FVIT"
 CHECKPOINT_VERSION = 1
@@ -67,6 +67,7 @@ class EncoderConfig:
             raise ConfigError("n_layers >= 1, n_classes >= 2, patch_size >= 1 required")
         if self.mlp_ratio < 1:
             raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
+        check_seed(self.seed, "seed")
 
     @property
     def image_shape(self) -> tuple[int, int, int]:
@@ -164,7 +165,11 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     """Build layout, mask, position table, and freshly initialized weights.
 
     Projection weights are truncated normal (cut at 2 std) with std
-    1/sqrt(fan_in), fan_in being the weight's second dimension; biases,
+    1/sqrt(fan_in), fan_in being the weight's second dimension. All of
+    them come from one draw of unit truncated normals on substream 0 of
+    the seed, sliced in canonical tensor order (patch_w, then wq, wk, wv,
+    wo, mlp_w1, mlp_w2 per layer) and scaled per weight; this gives the
+    same bits as one draw per weight at its own std. Biases,
     the classifier weight, the summary tokens, and the global token start
     at zero; layer-norm gains start at one. Fan-in scaling keeps the
     projections near unit gain at any width: a fixed std of 0.02 at d=32
@@ -187,13 +192,13 @@ def init_params(config: EncoderConfig) -> EncoderParams:
             layout, config.n_heads, regular_only=config.policy != "summary"
         )
 
-    rng = Rng(substream_seed(config.seed, 0))
     d, r = config.d, config.mlp_ratio
-    tensors: dict[str, Tensor] = {}
+    tensors: dict[str, Tensor | None] = {}
+    weights: list[tuple[str, tuple[int, int]]] = []  # drawn together below
 
     def weight(name, shape):
-        std = 1.0 / math.sqrt(shape[1])
-        tensors[name] = Tensor(rng.truncated_normal_array(shape, std=std))
+        tensors[name] = None  # holds the tensor's place in the order
+        weights.append((name, shape))
 
     def zeros(name, shape):
         tensors[name] = Tensor(np.zeros(shape))
@@ -225,6 +230,14 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     zeros("head_w", (config.n_classes, d))
     zeros("head_b", (config.n_classes,))
     tensors["posenc"] = Tensor(table.vectors)
+
+    sizes = [math.prod(shape) for _, shape in weights]
+    draw = Rng(substream_seed(config.seed, 0)).truncated_normal_array(
+        (sum(sizes),), std=1.0
+    )
+    for (name, shape), z in zip(weights, np.split(draw, np.cumsum(sizes)[:-1])):
+        std = 1.0 / math.sqrt(shape[1])
+        tensors[name] = Tensor((z * std).reshape(shape))
 
     return EncoderParams(config, layout, mask, tensors, table.trainable, alibi)
 

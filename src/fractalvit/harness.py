@@ -30,7 +30,7 @@ from .encoder import (
 )
 from .errors import ConfigError
 from .grid import GridSpec, TokenLayout, build_layout, max_levels
-from .rng import Rng, substream_seed
+from .rng import Rng, check_seed, substream_seed
 
 BACKGROUND = 0.25
 MARK = 0.9
@@ -68,6 +68,7 @@ def gen_marked_patch(grid: GridSpec, patch_size: int, count: int,
     patch's row-major index."""
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
+    check_seed(seed, "data_seed")
     n = grid.n_h * grid.n_w
     rng = Rng(seed)
     positions = [rng.below(n) for _ in range(count)]
@@ -121,6 +122,7 @@ def gen_same_block_pair(grid: GridSpec, patch_size: int, count: int,
     """
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
+    check_seed(seed, "data_seed")
     parents = _block_parents(grid)
     n = len(parents)
     rng = Rng(seed)
@@ -433,12 +435,22 @@ def randomize_params(params: EncoderParams, rng: Rng) -> None:
     """Overwrite every trainable tensor with generic random values: normal
     draws of std 0.2.
 
+    One ``normal_array`` call draws every value, sliced per tensor in
+    ``trainable_items`` order, so the draws and the state ``rng`` is left
+    in equal those of one call per tensor. A partially trainable position
+    table takes a slice of its full shape; its non-trainable rows are
+    drawn and then dropped.
+
     Layer-norm gains get 1 + noise so no feature direction collapses.
     The symmetry and gradient probes need this because the standard init
     zeroes the classifier head, which pins all logits to zero.
     """
-    for name, tensor, row_mask in params.trainable_items():
-        draw = rng.normal_array(tensor.data.shape, std=0.2)
+    items = list(params.trainable_items())
+    sizes = [tensor.data.size for _, tensor, _ in items]
+    draws = np.split(rng.normal_array((sum(sizes),), std=0.2),
+                     np.cumsum(sizes)[:-1])
+    for (name, tensor, row_mask), draw in zip(items, draws):
+        draw = draw.reshape(tensor.data.shape)
         if name.endswith("gain"):
             draw = 1.0 + draw
         if row_mask is None:

@@ -8,6 +8,13 @@ The array draws step many lanes of the same stream at once in numpy
 (see "lane-parallel draws" below). They return the same bits, and leave
 the same state, as calling the scalar draw once per element (for the
 truncated normal: ``normal()`` redrawn until it lies within the clip).
+So consecutive array draws of one kind equal one draw of their
+concatenation, and a truncated normal drawn at std 1 and then scaled
+equals the draw at that std: callers that fill many tensors draw once
+and slice.
+
+Seeds are integers in [0, 2^64); ``check_seed`` rejects any other value
+rather than let it alias one in range.
 """
 
 from __future__ import annotations
@@ -17,7 +24,15 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed: int, name: str) -> None:
+    """Raise ``ConfigError`` unless ``seed`` is in [0, 2^64)."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
 
 
 def _splitmix64_next(state: int) -> tuple[int, int]:

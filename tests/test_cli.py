@@ -449,3 +449,46 @@ def test_probe_report_bytes_match_on_out_and_stdout(tmp_path, command, extra,
 def test_unknown_perm_kind_exits_2():
     result = fvit("permtest", "--kind", "mirror", "--trials", "1")
     assert result.returncode == 2
+
+
+# ----------------------------------------------------------------------
+# seeds outside [0, 2**64)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-5"])
+def test_seed_outside_the_stream_range_exits_2(tmp_path, seed):
+    # such seeds used to alias one in range: 2**64 ran as 0, -5 as 2**64 - 5
+    message = f"error: seed must be in [0, 2**64), got {seed}\n"
+    result = fvit("permtest", *SMALL_MODEL, "--trials", "1", "--seed", seed)
+    assert (result.returncode, result.stderr) == (2, message)
+    result = fvit("posenc", "--table", "--scheme", "learned", "--seed", seed,
+                  "--out", tmp_path / "pos.csv")
+    assert (result.returncode, result.stderr) == (2, message)
+    assert not (tmp_path / "pos.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+def test_fvit_seed_outside_the_stream_range_exits_2(seed):
+    import os
+
+    env = dict(os.environ, FVIT_SEED=seed)
+    result = fvit("gradcheck", *SMALL_MODEL, env=env)
+    assert result.returncode == 2
+    assert result.stderr == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+def test_data_seed_outside_the_stream_range_exits_2(tmp_path, seed):
+    for task in ("marked", "pair"):
+        result = fvit(*train_args(tmp_path, task=task, data_seed=seed))
+        assert result.returncode == 2, task
+        assert result.stderr == \
+            f"error: data_seed must be in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "report.txt").exists()
+
+
+def test_largest_seeds_run(tmp_path):
+    top = str(2 ** 64 - 1)
+    result = fvit(*train_args(tmp_path, seed=top, data_seed=top))
+    assert result.returncode == 0, result.stderr
+    assert f"seed = {top}" in (tmp_path / "report.txt").read_text()

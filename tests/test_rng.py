@@ -255,3 +255,31 @@ def test_jump_tables_are_powers_of_the_step():
 )
 def test_array_draws_match_reference_property(kind, seed, n):
     assert_same_draw(kind, seed, (n,))
+
+
+# ----------------------------------------------------------------------
+# consecutive draws equal one draw of their concatenation
+# ----------------------------------------------------------------------
+
+SPLIT_SIZES = (0, LANES_FROM // 2 - 1, LANES_FROM // 2, 3001)
+
+
+@pytest.mark.parametrize("a", SPLIT_SIZES)
+@pytest.mark.parametrize("b", SPLIT_SIZES)
+def test_split_draws_equal_one_draw(a, b):
+    # sizes on both sides of the lane switch at LANES_FROM words
+    for seed in SEEDS:
+        one, split = Rng(seed), Rng(seed)
+        whole = one.normal_array((a + b,), std=0.2)
+        parts = [split.normal_array((a,), std=0.2),
+                 split.normal_array((b,), std=0.2)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
+        assert one._s == split._s
+
+        one, split = Rng(seed), Rng(seed)
+        whole = one.truncated_normal_array((a + b,), std=1.0)
+        parts = [split.truncated_normal_array((a,), std=0.02),
+                 split.truncated_normal_array((b,), std=0.7)]
+        assert (whole[:a] * 0.02).tobytes() == parts[0].tobytes()
+        assert (whole[a:] * 0.7).tobytes() == parts[1].tobytes()
+        assert one._s == split._s
