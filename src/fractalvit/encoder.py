@@ -135,31 +135,6 @@ class EncoderParams:
         for tensor in self.tensors.values():
             tensor.zero_grad()
 
-    def with_permuted_summaries(self, perm: np.ndarray) -> "EncoderParams":
-        """Copy of the params with level-1 summary rows relabeled by ``perm``
-        (row b of the copy holds row perm[b] of the original)."""
-        if self.layout.n_additional == 0:
-            raise ContractError("layout has no summary tokens to permute")
-        n1 = self.layout.counts[1]
-        if len(perm) != n1:
-            raise ContractError(
-                f"permutation of length {len(perm)} for {n1} level-1 summaries"
-            )
-        tensors = dict(self.tensors)
-        summary = Tensor(self.t("summary_init").data)
-        summary.data[:n1] = self.t("summary_init").data[list(perm)]
-        tensors["summary_init"] = summary
-        off = self.layout.offsets[1]
-        pos = Tensor(self.t("posenc").data)
-        pos.data[off:off + n1] = self.t("posenc").data[
-            [off + p for p in perm]
-        ]
-        tensors["posenc"] = pos
-        return EncoderParams(
-            self.config, self.layout, self.mask, tensors,
-            self.pos_trainable_rows, self.alibi,
-        )
-
 
 def init_params(config: EncoderConfig) -> EncoderParams:
     """Build layout, mask, position table, and freshly initialized weights.

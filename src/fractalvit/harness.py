@@ -21,7 +21,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     batch_loss,
-    forward,
+    forward,  # noqa: F401 - not called here; fvbench's tracer test wraps harness.forward
     forward_batch,
     forward_stages,
     init_params,
@@ -469,33 +469,41 @@ def _by_parent(layout: TokenLayout, level: int) -> dict:
     return groups
 
 
-def sample_permutation(layout: TokenLayout, kind: str, rng: Rng):
-    """(patch_perm, summary_perm) for one trial; both map dest -> source.
+def _shuffle_among(perm: list, members, rng: Rng) -> None:
+    """Point ``perm``'s entries at ``members`` to a shuffle of ``members``."""
+    shuffled = list(members)
+    rng.shuffle(shuffled)
+    for dst, src in zip(members, shuffled):
+        perm[dst] = src
 
-    ``summary_perm`` is None unless the kind relabels whole blocks, in
-    which case the level-1 summary rows must move with their blocks.
+
+def sample_permutation(layout: TokenLayout, kind: str, rng: Rng) -> list[int]:
+    """One trial's permutation of all ``layout.total`` tokens, mapping
+    dest -> source.
+
+    Regular tokens follow the patch permutation the kind samples. For
+    ``block``, which relabels whole level-1 blocks, each level-1 summary
+    token follows its block's cell. Every other token stays put.
     """
+    if kind not in PERM_KINDS:
+        raise ConfigError(f"kind must be one of {PERM_KINDS}, got {kind!r}")
+    perm = list(range(layout.total))
     n_reg = layout.n_regular
     if kind == "any":
-        perm = list(range(n_reg))
-        rng.shuffle(perm)
-        return perm, None
+        _shuffle_among(perm, range(n_reg), rng)
+        return perm
 
     if layout.levels < 1:
         raise ConfigError(f"perm kind {kind!r} needs at least one summary level")
     # patch indices of each level-1 block, row-major
     children = _by_parent(layout, 0)
-    blocks = [children[layout.offsets[1] + cell]
-              for cell in range(layout.counts[1])]
+    off1 = layout.offsets[1]
+    blocks = [children[off1 + cell] for cell in range(layout.counts[1])]
 
     if kind == "within-block":
-        perm = list(range(n_reg))
         for members in blocks:
-            shuffled = list(members)
-            rng.shuffle(shuffled)
-            for dst, src in zip(members, shuffled):
-                perm[dst] = src
-        return perm, None
+            _shuffle_among(perm, members, rng)
+        return perm
 
     if kind == "block":
         # Shuffle level-1 cells within their level-2 parent (the cells
@@ -503,34 +511,24 @@ def sample_permutation(layout: TokenLayout, kind: str, rng: Rng):
         # keeping the same within-block offset.
         cell_perm = list(range(len(blocks)))
         for members in _by_parent(layout, 1).values():
-            shuffled = list(members)
-            rng.shuffle(shuffled)
-            for dst, src in zip(members, shuffled):
-                cell_perm[dst] = src
-        perm = list(range(n_reg))
+            _shuffle_among(cell_perm, members, rng)
         for dst_cell, src_cell in enumerate(cell_perm):
+            perm[off1 + dst_cell] = off1 + src_cell
             for offset, dst_flat in enumerate(blocks[dst_cell]):
                 perm[dst_flat] = blocks[src_cell][offset]
-        return perm, cell_perm
+        return perm
 
-    if kind == "cross-block-transposition":
-        cells = [
-            (idx, pos)
-            for idx, members in enumerate(blocks)
-            for pos in members
-        ]
-        if len(blocks) < 2:
-            raise ConfigError("cross-block transposition needs >= 2 blocks")
-        while True:
-            a = cells[rng.below(len(cells))]
-            b = cells[rng.below(len(cells))]
-            if a[0] != b[0]:
-                break
-        perm = list(range(n_reg))
-        perm[a[1]], perm[b[1]] = b[1], a[1]
-        return perm, None
-
-    raise ConfigError(f"unknown perm kind {kind!r}, choose from {PERM_KINDS}")
+    # cross-block-transposition
+    if len(blocks) < 2:
+        raise ConfigError("cross-block transposition needs >= 2 blocks")
+    cells = [(idx, pos) for idx, members in enumerate(blocks) for pos in members]
+    while True:
+        a = cells[rng.below(len(cells))]
+        b = cells[rng.below(len(cells))]
+        if a[0] != b[0]:
+            break
+    perm[a[1]], perm[b[1]] = b[1], a[1]
+    return perm
 
 
 def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
@@ -538,25 +536,29 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
     """Max over trials of |logits(image) - logits(permuted image)|, with
     random images and the given (typically randomized) params.
 
-    The permuted image is never built: its patch rows are the image's
-    ``patch_rows`` reordered by the permutation, and they run through
-    ``forward_stages`` as ``forward`` would run them."""
+    Both images run through one ``forward_stages`` list, and the permuted
+    image is never built: summaries move in the sequence, patches in the
+    image. The embed stage runs on the image's ``patch_rows`` reordered by
+    the regular part of the token permutation; the rest of the
+    permutation then reorders the summary and global rows of its output.
+    A level-1 summary row is its ``summary_init`` row plus its position
+    row, and no later stage reads either tensor, so moving the row equals
+    relabeling both in the params."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = Rng(seed)
     stages = forward_stages(config, params.layout)
+    n_reg = params.layout.n_regular
     notape = Tape(recording=False)
     worst = 0.0
     for _ in range(trials):
         image = rng.uniform_array(config.image_shape)
-        perm, summary_perm = sample_permutation(params.layout, kind, rng)
-        base = forward(image, config, params).data
-        permuted_rows = Tensor(patch_rows([image], config).data[perm])
-        trial_params = (
-            params if summary_perm is None
-            else params.with_permuted_summaries(summary_perm)
-        )
-        other = run_stages(stages, permuted_rows, trial_params, notape).data[0]
+        perm = sample_permutation(params.layout, kind, rng)
+        rows = patch_rows([image], config)
+        base = run_stages(stages, rows, params, notape).data[0]
+        seq = stages[0].run(Tensor(rows.data[perm[:n_reg]]), params, notape)
+        seq.data[n_reg:] = seq.data[perm[n_reg:]]
+        other = run_stages(stages[1:], seq, params, notape).data[0]
         worst = max(worst, float(np.abs(base - other).max()))
     return worst
 

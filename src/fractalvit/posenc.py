@@ -70,7 +70,7 @@ def init_learned(count: int, d: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ConfigError(f"learned table needs count >= 1, got {count}")
     rng = Rng(seed)
-    return rng.truncated_normal_array((count, d), std=LEARNED_STD, clip=2.0)
+    return rng.truncated_normal_array((count, d), std=LEARNED_STD)
 
 
 def alibi_slopes(n_heads: int) -> np.ndarray:

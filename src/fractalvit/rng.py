@@ -7,14 +7,15 @@ platform and interpreter version.
 The array draws step many lanes of the same stream at once in numpy
 (see "lane-parallel draws" below). They return the same bits, and leave
 the same state, as calling the scalar draw once per element (for the
-truncated normal: ``normal()`` redrawn until it lies within the clip).
-So consecutive array draws of one kind equal one draw of their
-concatenation, and a truncated normal drawn at std 1 and then scaled
-equals the draw at that std: callers that fill many tensors draw once
-and slice.
+truncated normal: ``normal()`` redrawn until it lies within
+``TRUNCATION``). So consecutive array draws of one kind equal one draw
+of their concatenation, and a truncated normal drawn at std 1 and then
+scaled equals the draw at that std: callers that fill many tensors draw
+once and slice.
 
-Seeds are integers in [0, 2^64); ``check_seed`` rejects any other value
-rather than let it alias one in range.
+Seeds are integers in [0, 2^64); ``check_seed``, ``Rng`` and
+``substream_seed`` reject any other value with ``ConfigError`` rather
+than let it alias one in range.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import numpy as np
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
+
+# truncated normals keep only draws within this many standard deviations
+TRUNCATION = 2.0
 
 
 def check_seed(seed: int, name: str) -> None:
@@ -50,9 +54,10 @@ def substream_seed(seed: int, index: int) -> int:
     Used to derive independent sub-seeds (parameter init, data shuffling,
     ...) from one user-facing seed.
     """
+    check_seed(seed, "seed")
     if index < 0:
         raise ValueError("substream index must be non-negative")
-    state = seed & _MASK64
+    state = seed
     out = 0
     for _ in range(index + 1):
         out, state = _splitmix64_next(state)
@@ -69,7 +74,8 @@ class Rng:
     __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        state = seed & _MASK64
+        check_seed(seed, "seed")
+        state = seed
         s = []
         for _ in range(4):
             word, state = _splitmix64_next(state)
@@ -149,9 +155,9 @@ class Rng:
         n = int(np.prod(shape))
         return (self._normals(n) * std).reshape(shape)
 
-    def truncated_normal_array(self, shape, std: float, clip: float = 2.0) -> np.ndarray:
+    def truncated_normal_array(self, shape, std: float) -> np.ndarray:
         """``normal() * std`` draws in row-major order, each rejected and
-        redrawn until it lies within ``clip`` standard deviations.
+        redrawn until it lies within ``TRUNCATION`` standard deviations.
 
         Each round draws one normal per value still missing, so no round
         draws past the last accepted value and the state ends where the
@@ -162,7 +168,7 @@ class Rng:
         missing = n
         while missing:
             z = self._normals(missing)
-            z = z[np.abs(z) <= clip]
+            z = z[np.abs(z) <= TRUNCATION]
             parts.append(z)
             missing -= z.size
         return (np.concatenate(parts) * std).reshape(shape)

@@ -449,6 +449,10 @@ def test_probe_report_bytes_match_on_out_and_stdout(tmp_path, command, extra,
 def test_unknown_perm_kind_exits_2():
     result = fvit("permtest", "--kind", "mirror", "--trials", "1")
     assert result.returncode == 2
+    assert result.stderr == (
+        "error: kind must be one of ('any', 'within-block', 'block', "
+        "'cross-block-transposition'), got 'mirror'\n"
+    )
 
 
 # ----------------------------------------------------------------------

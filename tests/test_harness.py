@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalvit import autodiff, harness
-from fractalvit.autodiff import Tape
+from fractalvit.autodiff import Tape, Tensor
 from fractalvit.encoder import (
     EncoderConfig,
+    EncoderParams,
     batch_loss,
     extract_patches,
     forward,
@@ -440,19 +441,38 @@ def test_patch_rows_permute_as_the_image_does(grid, patch, seed):
                           patch_rows([image], config).data[perm])
 
 
+def relabel_summaries(params, perm):
+    """Reference: new params whose ``summary_init`` and position rows are
+    relabeled by the non-regular part of the token permutation ``perm``
+    (token row t of the copy holds token row perm[t] of the original)."""
+    layout = params.layout
+    n_reg = layout.n_regular
+    assert perm[layout.global_index] == layout.global_index
+    source = np.array(perm[n_reg:])
+    tensors = dict(params.tensors)
+    pos = Tensor(params.t("posenc").data)
+    pos.data[n_reg:] = params.t("posenc").data[source]
+    tensors["posenc"] = pos
+    if layout.n_additional:
+        tensors["summary_init"] = Tensor(
+            params.t("summary_init").data[source[:-1] - n_reg])
+    return EncoderParams(params.config, layout, params.mask, tensors,
+                         params.pos_trainable_rows, params.alibi)
+
+
 def permutation_test_by_image(config, params, kind, trials, seed):
-    """Reference ``permutation_test``: build each permuted image and run
-    ``forward`` on it."""
+    """Reference ``permutation_test``: build each permuted image, relabel
+    the summaries in rebuilt params, and run ``forward`` on both."""
     rng = Rng(seed)
+    n_reg = params.layout.n_regular
     worst = 0.0
     for _ in range(trials):
         image = rng.uniform_array(config.image_shape)
-        perm, summary_perm = sample_permutation(params.layout, kind, rng)
-        trial_params = (params if summary_perm is None
-                        else params.with_permuted_summaries(summary_perm))
-        moved = permute_patches_by_loop(image, perm, config.grid, config.patch_size)
+        perm = sample_permutation(params.layout, kind, rng)
+        moved = permute_patches_by_loop(image, perm[:n_reg], config.grid,
+                                        config.patch_size)
         base = forward(image, config, params).data
-        other = forward(moved, config, trial_params).data
+        other = forward(moved, config, relabel_summaries(params, perm)).data
         worst = max(worst, float(np.abs(base - other).max()))
     return worst
 
@@ -467,25 +487,72 @@ def test_permutation_test_equals_forwarding_the_permuted_image(kind):
     assert expected > 1e-6  # alibi2d tells every kind apart
 
 
+def allowed_kinds(layout):
+    """The permutation kinds a layout's level count and blocks allow."""
+    if not layout.levels:
+        return ["any"]
+    if layout.counts[1] < 2:
+        return ["any", "within-block", "block"]
+    return list(harness.PERM_KINDS)
+
+
+@st.composite
+def probe_cases(draw):
+    """A randomized model on a grid up to 8x8 with k = 2-3, under a
+    (scheme, policy) pair whose summary rows differ, and a kind its
+    layout allows."""
+    n_h, n_w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k = draw(st.integers(2, 3))
+    grid = GridSpec(n_h, n_w, k, draw(st.integers(0, max_levels(n_h, n_w, k))))
+    scheme, policy = draw(st.sampled_from([
+        ("learned", "register"), ("sincos2d", "summary"), ("none", "register"),
+        ("alibi2d", "summary"),
+    ]))
+    config = EncoderConfig(
+        grid=grid, d=8, n_heads=2, n_layers=draw(st.integers(1, 2)),
+        n_classes=3, patch_size=draw(st.integers(1, 2)), scheme=scheme,
+        policy=policy, mask=draw(st.sampled_from(["fractal", "full"])),
+        seed=draw(st.integers(0, 2 ** 16)),
+    )
+    params = init_params(config)
+    randomize_params(params, Rng(draw(st.integers(0, 2 ** 16))))
+    kind = draw(st.sampled_from(allowed_kinds(params.layout)))
+    return config, params, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=probe_cases(), seed=st.integers(0, 2 ** 16))
+def test_permutation_test_equals_the_image_reference_property(case, seed):
+    config, params, kind = case
+    assert permutation_test(config, params, kind, 2, seed) == \
+        permutation_test_by_image(config, params, kind, 2, seed)
+
+
 def test_sample_permutation_kinds():
     rng = Rng(0)
     layout = build_layout(GRID)
-    perm, summary = sample_permutation(layout, "any", rng)
-    assert sorted(perm) == list(range(16))
-    assert summary is None
+    unmoved = list(range(16, layout.total))  # summaries and the global token
+    perm = sample_permutation(layout, "any", rng)
+    assert sorted(perm[:16]) == list(range(16))
+    assert perm[16:] == unmoved
 
-    perm, summary = sample_permutation(layout, "within-block", rng)
-    assert summary is None
-    for dst, src in enumerate(perm):
+    perm = sample_permutation(layout, "within-block", rng)
+    assert perm[16:] == unmoved
+    for dst, src in enumerate(perm[:16]):
         assert (dst // 4 // 2, dst % 4 // 2) == (src // 4 // 2, src % 4 // 2)
 
-    perm, summary = sample_permutation(layout, "block", rng)
-    assert sorted(summary) == list(range(4))
-    for dst, src in enumerate(perm):
+    perm = sample_permutation(layout, "block", rng)
+    cell_perm = [src - 16 for src in perm[16:20]]
+    assert sorted(cell_perm) == list(range(4))
+    assert perm[20:] == unmoved[4:]
+    for dst, src in enumerate(perm[:16]):
         # offsets within the block are preserved
         assert (dst // 4 % 2, dst % 4 % 2) == (src // 4 % 2, src % 4 % 2)
+        # and the block's summary moves with it
+        assert cell_perm[dst // 4 // 2 * 2 + dst % 4 // 2] == \
+            src // 4 // 2 * 2 + src % 4 // 2
 
-    perm, summary = sample_permutation(layout, "cross-block-transposition", rng)
+    perm = sample_permutation(layout, "cross-block-transposition", rng)
     moved = [i for i, p in enumerate(perm) if p != i]
     assert len(moved) == 2
     a, b = moved
@@ -493,8 +560,13 @@ def test_sample_permutation_kinds():
 
 
 def test_sample_permutation_rejects_unknown_kind():
-    with pytest.raises(ConfigError):
-        sample_permutation(build_layout(GRID), "mirror", Rng(0))
+    # the kind is checked before the level count, so a grid without
+    # summaries blames the kind, not the missing levels
+    message = re.escape(f"kind must be one of {harness.PERM_KINDS}, got 'mirror'")
+    for levels in (1, 0):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            sample_permutation(build_layout(GridSpec(4, 4, 2, levels)),
+                               "mirror", Rng(0))
 
 
 def test_permutation_kinds_need_summary_levels():
@@ -507,20 +579,24 @@ def test_block_kind_shuffles_level1_cells_within_their_level2_parent():
     # 14x14 with k=3 and two levels: the 4x4 level-1 cells in rows and
     # columns 0-2 share the one level-2 token, the other 7 have no parent
     # and form a group of their own; patches outside the 12x12 level-1
-    # coverage never move
+    # coverage never move, and neither do the level-2 and global tokens
     layout = build_layout(GridSpec(14, 14, 3, 2))
+    off1 = layout.offsets[1]
     under_parent = {i * 4 + j for i in range(3) for j in range(3)}
     moved_groups = set()
     rng = Rng(4)
     for _ in range(20):
-        perm, cell_perm = sample_permutation(layout, "block", rng)
+        perm = sample_permutation(layout, "block", rng)
+        assert sorted(perm) == list(range(layout.total))
+        assert perm[off1 + 16:] == list(range(off1 + 16, layout.total))
+        cell_perm = [src - off1 for src in perm[off1:off1 + 16]]
         assert sorted(cell_perm) == list(range(16))
         for dst, src in enumerate(cell_perm):
             assert (dst in under_parent) == (src in under_parent)
             if dst != src:
                 moved_groups.add(dst in under_parent)
-        assert sorted(perm) == list(range(196))
-        for dst, src in enumerate(perm):
+        assert sorted(perm[:196]) == list(range(196))
+        for dst, src in enumerate(perm[:196]):
             (di, dj), (si, sj) = divmod(dst, 14), divmod(src, 14)
             if di >= 12 or dj >= 12:
                 assert src == dst
@@ -529,6 +605,18 @@ def test_block_kind_shuffles_level1_cells_within_their_level2_parent():
             assert cell_perm[di // 3 * 4 + dj // 3] == si // 3 * 4 + sj // 3
             assert (di % 3, dj % 3) == (si % 3, sj % 3)
     assert moved_groups == {True, False}
+
+
+def test_probes_reject_seeds_outside_the_stream_range():
+    # such seeds used to alias one in range: 2**64 ran as seed 0
+    config = small_config(grid=GridSpec(2, 2, 2, 1), d=8, n_layers=1,
+                          n_classes=4, patch_size=2)
+    params = init_params(config)
+    for seed in (2 ** 64, -1):
+        with pytest.raises(ConfigError, match="seed must be in"):
+            permutation_test(config, params, "any", trials=2, seed=seed)
+        with pytest.raises(ConfigError, match="seed must be in"):
+            gradcheck(config, seed=seed)
 
 
 def test_invariance_smoke():

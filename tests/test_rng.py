@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalvit import rng as rng_module
+from fractalvit.errors import ConfigError
 from fractalvit.rng import (
     LANES_FROM,
+    TRUNCATION,
     Rng,
     _apply,
     _jump_table,
@@ -38,14 +43,15 @@ def ref_truncated_normal(rng, std, clip):
             return z * std
 
 
-def ref_truncated_normal_array(rng, shape, std, clip=2.0):
+def ref_truncated_normal_array(rng, shape, std, clip=TRUNCATION):
     n = int(np.prod(shape))
     return np.array(
         [ref_truncated_normal(rng, std, clip) for _ in range(n)]
     ).reshape(shape)
 
 
-# (method, reference, extra arguments, generator words per value)
+# (method, reference, extra arguments, generator words per value); a
+# truncated draw's arguments are its std and the clip ``array_draw`` sets
 ARRAY_DRAWS = {
     "uniform": ("uniform_array", ref_uniform_array, (), 1),
     "normal": ("normal_array", ref_normal_array, (0.3,), 2),
@@ -60,12 +66,24 @@ ARRAY_DRAWS = {
 }
 
 
+def array_draw(r, kind, shape):
+    """The array method of ``kind`` on ``r``. A truncated draw runs with
+    its clip in place of ``TRUNCATION``, so the rejection rounds are
+    tested at other rates than the library's."""
+    method, _, args, _ = ARRAY_DRAWS[kind]
+    if method != "truncated_normal_array":
+        return getattr(r, method)(shape, *args)
+    std, clip = args
+    with mock.patch.object(rng_module, "TRUNCATION", clip):
+        return r.truncated_normal_array(shape, std)
+
+
 def assert_same_draw(kind, seed, shape):
     """The array method and the scalar reference give the same bits and
     leave the generator in the same state."""
-    method, ref, args, _ = ARRAY_DRAWS[kind]
+    _, ref, args, _ = ARRAY_DRAWS[kind]
     fast, slow = Rng(seed), Rng(seed)
-    got = getattr(fast, method)(shape, *args)
+    got = array_draw(fast, kind, shape)
     expected = ref(slow, shape, *args)
     assert got.dtype == np.float64 and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes(), (kind, seed, shape)
@@ -114,6 +132,17 @@ def test_substream_seed():
         substream_seed(1, -1)
 
 
+def test_seeds_outside_the_stream_range_raise():
+    # such seeds used to alias one in range: Rng(2**64) ran as Rng(0),
+    # and substream_seed(-5, i) as substream_seed(2**64 - 5, i)
+    for seed in (2 ** 64, -1, -5):
+        with pytest.raises(ConfigError,
+                           match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+            Rng(seed)
+        with pytest.raises(ConfigError):
+            substream_seed(seed, 0)
+
+
 def test_random_unit_interval():
     r = Rng(5)
     draws = [r.random() for _ in range(2000)]
@@ -143,7 +172,7 @@ def test_normal_moments():
 
 def test_truncated_normal_bounds():
     r = Rng(13)
-    draws = r.truncated_normal_array((5000,), std=0.02, clip=2.0)
+    draws = r.truncated_normal_array((5000,), std=0.02)
     assert np.abs(draws).max() <= 0.04
 
 
@@ -188,10 +217,9 @@ def test_array_draws_match_scalar_reference(kind):
 
 @pytest.mark.parametrize("kind", sorted(ARRAY_DRAWS))
 def test_zero_size_draws_leave_state_alone(kind):
-    method, _, args, _ = ARRAY_DRAWS[kind]
     for shape in ((0,), (3, 0, 5)):
         r = Rng(3)
-        out = getattr(r, method)(shape, *args)
+        out = array_draw(r, kind, shape)
         assert out.shape == shape and out.dtype == np.float64
         assert r.next_u64() == Rng(3).next_u64()
 
