@@ -4,12 +4,12 @@ The operation set is what the encoder needs: linear layers, one fused
 multi-head attention (``attention``: it lays the projected rows out by
 head, then runs scaled scores, softmax under an additive bias table with
 -inf on excluded pairs, and the weighted sum of values in cache-sized
-blocks), trailing-shape additive broadcasting for biases, row slicing,
-gathering and stacking, layer norm, exact-CDF GELU, and batched softmax
-cross-entropy. 2-D ``matmul``, ``transpose``, ``swap_last``,
-``slice_cols``, the single-row ``softmax_cross_entropy``, and the
-stacked ``bmm`` and ``masked_softmax`` that ``attention`` fuses have no
-caller in the encoder; they stay because the benchmark's tracer
+blocks), same-shape addition, row slicing, gathering and stacking,
+layer norm, exact-CDF GELU, and batched softmax cross-entropy. 2-D
+``matmul``, ``transpose``, ``swap_last``, ``slice_cols``, the
+single-row ``softmax_cross_entropy``, and the stacked ``bmm`` and
+``masked_softmax`` that ``attention`` fuses have no caller in the
+encoder; they stay because the benchmark's tracer
 (``fvbench/tracing.py``) wraps each of them by name. ``reshape``,
 ``transpose``, ``bmm`` and ``masked_softmax`` are also the reference
 ``attention`` is tested against, bit for bit.
@@ -150,23 +150,16 @@ class Tape:
     # ------------------------------------------------------------------
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        """Elementwise a + b; b may be a trailing-shape slice (bias row)."""
-        broadcast = a.data.shape != b.data.shape
-        if broadcast:
-            nd, bd = a.data.ndim, b.data.ndim
-            if bd > nd or b.data.shape != a.data.shape[nd - bd:]:
-                raise ShapeError(
-                    f"add: shapes {a.data.shape} and {b.data.shape} do not align"
-                )
+        """Elementwise sum of same-shape tensors."""
+        if a.data.shape != b.data.shape:
+            raise ShapeError(
+                f"add: shapes {a.data.shape} and {b.data.shape} differ"
+            )
         out = Tensor._wrap(a.data + b.data)
 
         def pull(g, accum):
             accum(a, g)
-            if broadcast:
-                lead = tuple(range(a.data.ndim - b.data.ndim))
-                accum(b, g.sum(axis=lead), owned=True)
-            else:
-                accum(b, g)
+            accum(b, g)
 
         self._push(out, pull)
         return out

@@ -136,6 +136,16 @@ class EncoderParams:
             tensor.zero_grad()
 
 
+def check_params_config(config: EncoderConfig, params: EncoderParams) -> None:
+    """Raise ``ContractError`` unless ``params`` were built for ``config``,
+    naming each field that differs."""
+    if config != params.config:
+        theirs = vars(params.config)
+        differ = [f"{name} {value!r} != {theirs[name]!r}"
+                  for name, value in vars(config).items() if value != theirs[name]]
+        raise ContractError("config differs from params.config: " + ", ".join(differ))
+
+
 def init_params(config: EncoderConfig) -> EncoderParams:
     """Build layout, mask, position table, and freshly initialized weights.
 
@@ -348,12 +358,13 @@ def forward_batch(images, config: EncoderConfig, params: EncoderParams,
 
     Each image's sequence is [regular patches | summary inits | global]
     plus the position table; the sequences are stacked and every layer
-    runs on the stack.
+    runs on the stack. ``params.config`` must equal ``config``.
     """
     if tape is None:
         tape = Tape(recording=False)
     if len(images) < 1:
         raise ContractError("forward_batch needs at least one image")
+    check_params_config(config, params)
     return run_stages(forward_stages(config, params.layout),
                       patch_rows(images, config), params, tape)
 

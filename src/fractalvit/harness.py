@@ -21,6 +21,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     batch_loss,
+    check_params_config,
     forward,  # noqa: F401 - not called here; fvbench's tracer test wraps harness.forward
     forward_batch,
     forward_stages,
@@ -308,19 +309,19 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
     at global norm 1. Deterministic given the config and dataset seeds.
 
     Without ``eval_set`` the task's deterministic enumeration is the eval
-    set. Both sets are checked against the config before the first step.
-    An eval set that holds the same samples as the training set, by
-    identity or by content, is evaluated once per epoch, and that one
-    accuracy is recorded as both the train and the eval accuracy.
+    set. Both sets and ``params`` are checked against the config before
+    the first step. An eval set holding the training samples, by identity
+    or by content, is evaluated once per epoch, and that one accuracy is
+    recorded as both the train and the eval accuracy.
 
     A full-batch run (``batch >= n`` and ``n <= EVAL_CHUNK``) evaluates
     the training set only once. Its single step per epoch forwards all n
     training images, shuffled, with the parameters the previous epoch
     left, before it updates them; a row-permuted batch of n images gives
-    bit-identical logit rows, so that forward's hits are the previous
-    epoch's train accuracy. Only the last record, the one no further
-    step follows, calls ``evaluate`` on the training set. A distinct eval
-    set is still evaluated every epoch.
+    bit-identical logit rows, so step e+1's hits are epoch e's train
+    accuracy. The records are put together after the step loop; only an
+    epoch no step scores, the last, calls ``evaluate`` on the training
+    set. A distinct eval set is still evaluated every epoch.
     """
     _check_against_config(config, dataset, "dataset")
     if epochs < 1 or batch < 1:
@@ -329,6 +330,7 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
         raise ConfigError(f"lr must be a finite number, got {lr!r}")
     if params is None:
         params = init_params(config)
+    check_params_config(config, params)
     if eval_set is None:
         eval_set = default_eval_set(config, dataset)
     _check_against_config(config, eval_set, "eval_set")
@@ -349,14 +351,7 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
     trainables = list(params.trainable_items())
     step = 0
     full_batch = batch >= n and n <= EVAL_CHUNK
-    # on a full-batch run, the last record's train accuracy waits for the
-    # next step's forward, which runs on the same parameters
-    pending = False
-
-    def record_train_acc(acc: float) -> None:
-        report.train_accs.append(acc)
-        if eval_is_train:
-            report.eval_accs.append(acc)
+    step_accs = []  # full batch: each step's hits score the previous epoch
 
     # an overflow shows as a non-finite loss, gradient norm or accuracy,
     # and each of those is reported as divergence, not warned about
@@ -369,14 +364,13 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
                 chunk = order[start:start + batch]
                 labels = [dataset.samples[idx][1] for idx in chunk]
                 tape = Tape()
-                logits = [] if pending else None
+                logits = []
                 objective = batch_loss(
                     [dataset.samples[idx][0] for idx in chunk], labels,
                     config, params, tape, logits_out=logits,
                 )
-                if pending:
-                    record_train_acc(_hits(logits[0], labels) / n)
-                    pending = False
+                if full_batch:
+                    step_accs.append(_hits(logits[0], labels) / n)
                 value = float(objective.data)
                 if not math.isfinite(value):
                     report.diverged = True
@@ -387,11 +381,8 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
                 sq_norm = 0.0
                 grads = []
                 for _, tensor, row_mask in trainables:
-                    g = tensor.grad
-                    if g is None:
-                        g = np.zeros_like(tensor.data)
-                    elif row_mask is not None:
-                        g = g * row_mask[:, None]
+                    g = tensor.grad if row_mask is None \
+                        else tensor.grad * row_mask[:, None]
                     grads.append(g)
                     sq_norm += float((g * g).sum())
                 if not math.isfinite(sq_norm):
@@ -407,14 +398,18 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
             if batch_losses:
                 report.losses.append(sum(batch_losses) / len(batch_losses))
                 if not full_batch:
-                    record_train_acc(evaluate(config, params, dataset))
+                    report.train_accs.append(evaluate(config, params, dataset))
                 if not eval_is_train:
                     report.eval_accs.append(evaluate(config, params, eval_set))
-                pending = full_batch
             if report.diverged:
                 break
-        if pending:
-            record_train_acc(evaluate(config, params, dataset))
+        if full_batch:
+            # the last recorded epoch has no later step to score it
+            if len(step_accs) == len(report.losses):
+                step_accs.append(evaluate(config, params, dataset))
+            report.train_accs = step_accs[1:]
+        if eval_is_train:
+            report.eval_accs = list(report.train_accs)
 
         report.final_eval_acc = (
             report.eval_accs[-1] if report.eval_accs
@@ -534,7 +529,7 @@ def sample_permutation(layout: TokenLayout, kind: str, rng: Rng) -> list[int]:
 def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
                      trials: int, seed: int) -> float:
     """Max over trials of |logits(image) - logits(permuted image)|, with
-    random images and the given (typically randomized) params.
+    random images and ``params`` (typically randomized) built for ``config``.
 
     Both images run through one ``forward_stages`` list, and the permuted
     image is never built: summaries move in the sequence, patches in the
@@ -546,6 +541,7 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
     relabeling both in the params."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_params_config(config, params)
     rng = Rng(seed)
     stages = forward_stages(config, params.layout)
     n_reg = params.layout.n_regular
@@ -611,7 +607,6 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
 
     rel_errors = []
     for name, tensor, row_mask in params.trainable_items():
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
         flat = tensor.data.reshape(-1)
         indices = np.arange(flat.size) if row_mask is None \
             else np.flatnonzero(np.repeat(row_mask, tensor.data.shape[1]))
@@ -641,7 +636,7 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
                 minus = loss_at(idx, saved - eps)
                 flat[idx] = saved
                 fd[j] = (plus - minus) / (2.0 * eps)
-        a = grad.reshape(-1)[indices]
+        a = tensor.grad.reshape(-1)[indices]
         rel_errors.append(
             np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)
         )

@@ -543,21 +543,24 @@ def test_backward_peak_memory_does_not_grow_with_depth():
 # structural ops
 # ----------------------------------------------------------------------
 
-def test_add_trailing_broadcast_and_grads():
+def test_add_equal_shapes_and_grads():
+    rng = np.random.default_rng(7)
+    a = Tensor(rng.standard_normal((3, 4)))
+    b = Tensor(rng.standard_normal((3, 4)))
+    weights = rng.standard_normal((3, 4))
     t = Tape()
-    a = Tensor(np.ones((3, 4)))
-    b = Tensor(np.arange(4.0))
     out = t.add(a, b)
     assert np.array_equal(out.data, a.data + b.data)
-    t.backward(t.sum_all(out))
-    assert np.array_equal(a.grad, np.ones((3, 4)))
-    assert np.array_equal(b.grad, np.full(4, 3.0))
+    t.backward(t.sum_all(t.mul(out, Tensor(weights))))
+    assert np.array_equal(a.grad, weights)
+    assert np.array_equal(b.grad, weights)
 
 
 def test_add_shape_mismatch_raises():
     t = Tape()
-    with pytest.raises(ShapeError):
-        t.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+    for shape in ((3,), (4,), (1, 4), (4, 3)):
+        with pytest.raises(ShapeError, match="differ"):
+            t.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros(shape)))
 
 
 def test_linear_matches_explicit_composition():
@@ -567,7 +570,9 @@ def test_linear_matches_explicit_composition():
     b = Tensor(rng.standard_normal(4))
     t = Tape()
     fused = t.linear(x, w, b)
-    explicit = t.add(t.matmul(x, t.transpose(w, (1, 0))), b)
+    # add takes equal shapes: the bias row repeated on every row
+    bias_rows = t.gather_rows(t.reshape(b, (1, 4)), [0] * 5)
+    explicit = t.add(t.matmul(x, t.transpose(w, (1, 0))), bias_rows)
     assert np.allclose(fused.data, explicit.data, atol=1e-15)
     t.backward(t.sum_all(fused))
     notape = Tape(recording=False)

@@ -11,6 +11,9 @@ Unset parameters: every defaulted parameter of a public function or
 method is set, by keyword or by position, by some call. A knob that no
 program sets is a constant; make it one. Calls are matched by the name
 they call, and a constructor call counts as a call of ``__init__``.
+
+Unused imports: every name a library module binds by import is read in
+that module, an annotation included, or listed in its ``__all__``.
 """
 
 import ast
@@ -156,3 +159,67 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert [f"{where} {name}" for where, name in unset if name not in UNSET_EXEMPT] == []
     # an exemption that no longer applies is deleted
     assert set(UNSET_EXEMPT) <= {name for _, name in unset}
+
+
+# Names a library module imports without reading them, each with its reason.
+IMPORT_EXEMPT = {
+    "harness.forward": "fvbench's tracer test wraps and restores harness.forward",
+}
+
+
+def imported_names(tree):
+    """Each name an import binds; ``__future__`` imports bind no name the
+    module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def read_names(tree):
+    """Every identifier the module loads, annotations included, and every
+    string listed in its ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(item.value for item in ast.walk(node.value)
+                         if isinstance(item, ast.Constant))
+    return names
+
+
+def unused_imports(root_library):
+    unused = []
+    for path in sorted(root_library.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = read_names(tree)
+        unused += [f"{path.stem}.{name}" for name in imported_names(tree)
+                   if name not in read]
+    return unused
+
+
+def test_every_imported_name_is_read_or_exported():
+    unused = unused_imports(LIBRARY)
+    assert [name for name in unused if name not in IMPORT_EXEMPT] == []
+    # an exemption that no longer applies is deleted
+    assert set(IMPORT_EXEMPT) <= set(unused)
+
+
+def test_unused_import_guard_counts_annotations_and_all(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import xml.dom\n"
+        "from typing import Callable\n"
+        "from .errors import ConfigError\n"
+        "__all__ = ['ConfigError']\n"
+        "def f(x: Callable) -> None:\n"
+        "    xml.dom\n"
+    )
+    assert unused_imports(tmp_path) == ["mod.os", "mod.osp"]

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,11 +15,12 @@ from fractalvit.encoder import (
     batch_loss,
     extract_patches,
     forward,
+    forward_batch,
     init_params,
     patch_rows,
     save_checkpoint,
 )
-from fractalvit.errors import ConfigError
+from fractalvit.errors import ConfigError, ContractError
 from fractalvit.grid import GridSpec, build_layout, max_levels
 from fractalvit.harness import (
     BACKGROUND,
@@ -41,6 +42,7 @@ from fractalvit.harness import (
     train,
 )
 from fractalvit.rng import Rng, substream_seed
+from test_logit_reuse import reference_train
 
 GRID = GridSpec(4, 4, 2, 1)
 
@@ -312,6 +314,37 @@ def test_train_validates_eval_set_before_the_first_step(monkeypatch, bad, messag
         train(small_config(), ds, epochs=1, lr=0.1, batch=4, eval_set=eval_set)
 
 
+@pytest.mark.parametrize("overrides, differ", [
+    # one layer fewer ran silently, one more died on a missing tensor, and
+    # another head count was ignored
+    (dict(n_layers=1), "n_layers 1 != 2"),
+    (dict(n_layers=3), "n_layers 3 != 2"),
+    (dict(n_heads=4), "n_heads 4 != 2"),
+    (dict(n_heads=4, n_layers=1), "n_heads 4 != 2, n_layers 1 != 2"),
+])
+def test_config_that_disagrees_with_the_params_raises(overrides, differ):
+    config = small_config()
+    params = init_params(config)
+    randomize_params(params, Rng(2))
+    before = {name: t.data.copy() for name, t in params.tensors.items()}
+    other = replace(config, **overrides)
+    ds = gen_marked_patch(GRID, 4, 4, seed=0)
+    image = ds.samples[0][0]
+    message = re.escape(f"config differs from params.config: {differ}")
+    for call in (
+        lambda: forward_batch([image], other, params),
+        lambda: forward(image, other, params),
+        lambda: evaluate(other, params, ds),
+        lambda: permutation_test(other, params, "any", trials=1, seed=0),
+        lambda: train(other, ds, epochs=1, lr=0.1, batch=4, params=params,
+                      eval_set=ds),
+    ):
+        with pytest.raises(ContractError, match=message):
+            call()
+    for name, t in params.tensors.items():
+        assert np.array_equal(t.data, before[name]), name
+
+
 def eval_variant(ds, variant):
     """An eval set for ``train`` on ``ds``: None, ``ds`` itself, an equal
     copy, or a copy that differs in one label, one pixel or its length."""
@@ -367,6 +400,49 @@ def test_equal_eval_set_reports_the_same_bytes(monkeypatch):
     # the same bytes as evaluating the eval set separately every epoch
     monkeypatch.setattr(harness, "_same_samples", lambda a, b: False)
     assert shared == {outputs(None)}
+
+
+@st.composite
+def train_cases(draw):
+    """A marked-patch run of d=8 and one layer: 2 to 12 samples, any batch
+    up to n + 2, 1 to 4 epochs, an eval set that is None, the dataset, an
+    equal copy or a distinct sample, and a learning rate that trains (0.2)
+    or can blow the run up (1e100, 1e160)."""
+    seed = draw(st.integers(0, 2 ** 16))
+    ds = gen_marked_patch(GRID, 2, draw(st.integers(2, 12)), seed)
+    variant = draw(st.sampled_from(["none", "same", "copy", "distinct"]))
+    eval_set = (
+        gen_marked_patch(GRID, 2, draw(st.integers(1, 12)), seed + 1)
+        if variant == "distinct" else eval_variant(ds, variant)
+    )
+    return ds, dict(
+        epochs=draw(st.integers(1, 4)), lr=draw(st.sampled_from([0.2, 1e100, 1e160])),
+        batch=draw(st.integers(1, len(ds) + 2)), eval_set=eval_set,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=train_cases())
+def test_train_equals_the_per_epoch_evaluation_loop_property(case):
+    ds, kwargs = case
+    config = small_config(d=8, n_layers=1, patch_size=2)
+    runs = []
+    # the large learning rates overflow on purpose
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (train, reference_train):
+            params = init_params(config)
+            runs.append((run(config, ds, params=params, **kwargs), params))
+    (got, got_params), (want, want_params) = runs
+    # the reference loop leaves out train's last rule: a NaN accuracy is
+    # divergence too
+    want.diverged = want.diverged or any(
+        math.isnan(acc)
+        for acc in want.train_accs + want.eval_accs + [want.final_eval_acc]
+    )
+    for f in fields(got):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+    for name, tensor in got_params.tensors.items():
+        assert tensor.data.tobytes() == want_params.t(name).data.tobytes(), name
 
 
 def test_attention_blocks_do_not_change_training_bytes(monkeypatch, tmp_path):
