@@ -6,9 +6,11 @@ There is one forward path, over a stacked batch of images; ``forward`` is
 that path on a batch of one. It is a fold over ``forward_stages``: embed,
 then per layer an attention sublayer (LN, the q, k and v projections, one
 fused ``Tape.attention`` that lays out and runs all heads, the output
-projection, the residual add) and an MLP sublayer, then the head. The mask
-(a bool array) and the ALiBi biases enter the attention as one additive
-table built with the params; the params hold all three read-only.
+projection, the residual add) and an MLP sublayer, then the head. Each
+stage is bound to the parameter tensors its ``reads`` names and gets no
+params, so it reads no other tensor. The mask (a bool array) and the
+ALiBi biases enter the attention as one additive table built with the
+params; the params hold all three read-only.
 
 Everything runs in float64 through the tape engine; a forward pass on a
 non-recording tape is plain inference.
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,8 +64,12 @@ class EncoderConfig:
             raise ConfigError(f"d must be >= 2 for layer norm, got {self.d}")
         if self.d % self.n_heads != 0:
             raise ConfigError(f"d={self.d} must be a multiple of n_heads={self.n_heads}")
-        if self.n_layers < 1 or self.n_classes < 2 or self.patch_size < 1:
-            raise ConfigError("n_layers >= 1, n_classes >= 2, patch_size >= 1 required")
+        if self.n_layers < 1:
+            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
+        if self.n_classes < 2:
+            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        if self.patch_size < 1:
+            raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.mlp_ratio < 1:
             raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
         check_seed(self.seed, "seed")
@@ -112,9 +117,6 @@ class EncoderParams:
     def alibi(self) -> np.ndarray | None:
         """(n_heads, n, n) ALiBi distance biases, or None."""
         return self._alibi
-
-    def t(self, name: str) -> Tensor:
-        return self.tensors[name]
 
     def trainable_items(self):
         """Yield (name, tensor, row_mask) for every trainable tensor.
@@ -227,118 +229,112 @@ def init_params(config: EncoderConfig) -> EncoderParams:
     return EncoderParams(config, layout, mask, tensors, table.trainable, alibi)
 
 
-def extract_patches(image: np.ndarray, config: EncoderConfig) -> np.ndarray:
-    """Image (H, W, 3) -> matrix (n_regular, 3 * patch_size**2), patches
-    row-major, each flattened in (row, col, channel) order."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != config.image_shape:
-        raise ConfigError(
-            f"image shape {image.shape} does not match configured "
-            f"{config.image_shape}"
-        )
-    n_h, n_w = config.grid.n_h, config.grid.n_w
-    ps = config.patch_size
-    return (
-        image.reshape(n_h, ps, n_w, ps, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(n_h * n_w, 3 * ps * ps)
-    )
-
-
 class Stage(NamedTuple):
-    """One step of the forward: ``run(x, params, tape)`` maps the stage's
-    input to its output, reading the parameter tensors named in ``reads``
-    and no others."""
+    """One step of the forward: ``run(x, tape)`` maps the stage's input to
+    its output. ``forward_stages`` binds ``run`` to the tensors named in
+    ``reads`` and to the fixed values its body needs, so a stage cannot
+    read any other tensor."""
 
     reads: tuple[str, ...]
-    run: Callable[[Tensor, EncoderParams, Tape], Tensor]
+    run: Callable[[Tensor, Tape], Tensor]
 
 
 def patch_rows(images, config: EncoderConfig) -> Tensor:
-    """The first stage's input: every image's patches, stacked as
-    (b * n_regular, 3 * patch_size**2) rows."""
-    return Tensor(np.concatenate([extract_patches(img, config) for img in images]))
+    """The first stage's input: every image (H, W, 3) cut into its
+    patches, row-major, each flattened in (row, col, channel) order, and
+    stacked as (b * n_regular, 3 * patch_size**2) rows."""
+    for image in images:
+        if np.shape(image) != config.image_shape:
+            raise ConfigError(
+                f"image shape {np.shape(image)} does not match configured "
+                f"{config.image_shape}"
+            )
+    n_h, n_w, ps = config.grid.n_h, config.grid.n_w, config.patch_size
+    stacked = np.asarray(images, dtype=np.float64).reshape(-1, n_h, ps, n_w, ps, 3)
+    return Tensor(stacked.transpose(0, 1, 3, 2, 4, 5).reshape(-1, 3 * ps * ps))
 
 
-def _embed(patches: Tensor, params: EncoderParams, tape: Tape) -> Tensor:
-    """Patch rows -> stacked (b*n, d) sequences [regular patches | summary
-    inits | global], each plus the position table."""
-    layout = params.layout
-    n_reg = layout.n_regular
+def _embed(patches: Tensor, tape: Tape, n_reg: int, patch_w: Tensor,
+           patch_b: Tensor, posenc: Tensor, *appended: Tensor) -> Tensor:
+    """Patch rows -> stacked (b*n, d) sequences [regular patches |
+    ``appended``], each plus the position table. ``appended`` is the
+    summary inits, if the layout has any, then the global token."""
     b = patches.data.shape[0] // n_reg
-    tokens = tape.linear(patches, params.t("patch_w"), params.t("patch_b"))
-
+    tokens = tape.linear(patches, patch_w, patch_b)
     parts = []
     for i in range(b):
         parts.append(tape.slice_rows(tokens, i * n_reg, (i + 1) * n_reg))
-        if layout.n_additional > 0:
-            parts.append(params.t("summary_init"))
-        parts.append(params.t("global_token"))
+        parts.extend(appended)
     seq = tape.concat(parts)
-    pos = params.t("posenc")
-    return tape.add(seq, tape.concat([pos] * b) if b > 1 else pos)
+    return tape.add(seq, tape.concat([posenc] * b) if b > 1 else posenc)
 
 
-def _attention_sublayer(p: str, x: Tensor, params: EncoderParams,
-                        tape: Tape) -> Tensor:
-    """x + Wo MHA(LN(x)) for layer prefix ``p``, x being (b*n, d). All
-    heads run in one ``Tape.attention`` under the params' bias table."""
-    ln = tape.layer_norm(x, params.t(p + "ln1_gain"), params.t(p + "ln1_shift"))
-    q, k, v = (tape.linear(ln, params.t(p + w)) for w in ("wq", "wk", "wv"))
-    attn = tape.attention(q, k, v, params.attn_bias, params.config.n_heads)
-    return tape.add(x, tape.linear(attn, params.t(p + "wo")))
+def _attention_sublayer(x: Tensor, tape: Tape, attn_bias: np.ndarray,
+                        n_heads: int, ln_gain: Tensor, ln_shift: Tensor,
+                        wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
+    """x + Wo MHA(LN(x)), x being (b*n, d). All heads run in one
+    ``Tape.attention`` under the additive table ``attn_bias``."""
+    ln = tape.layer_norm(x, ln_gain, ln_shift)
+    q, k, v = (tape.linear(ln, w) for w in (wq, wk, wv))
+    attn = tape.attention(q, k, v, attn_bias, n_heads)
+    return tape.add(x, tape.linear(attn, wo))
 
 
-def _mlp_sublayer(p: str, x: Tensor, params: EncoderParams,
-                  tape: Tape) -> Tensor:
-    """x + MLP(LN(x)) for layer prefix ``p``."""
-    h2 = tape.layer_norm(x, params.t(p + "ln2_gain"), params.t(p + "ln2_shift"))
-    m = tape.gelu(tape.linear(h2, params.t(p + "mlp_w1"), params.t(p + "mlp_b1")))
-    m = tape.linear(m, params.t(p + "mlp_w2"), params.t(p + "mlp_b2"))
-    return tape.add(x, m)
+def _mlp_sublayer(x: Tensor, tape: Tape, ln_gain: Tensor, ln_shift: Tensor,
+                  w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """x + MLP(LN(x))."""
+    h2 = tape.layer_norm(x, ln_gain, ln_shift)
+    m = tape.gelu(tape.linear(h2, w1, b1))
+    return tape.add(x, tape.linear(m, w2, b2))
 
 
-def _head(x: Tensor, params: EncoderParams, tape: Tape) -> Tensor:
+def _head(x: Tensor, tape: Tape, total: int, final_gain: Tensor,
+          final_shift: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
     """Final LN, then the class logits (b, n_classes) read from each
-    sequence's global token."""
-    layout = params.layout
-    b = x.data.shape[0] // layout.total
-    x = tape.layer_norm(x, params.t("final_gain"), params.t("final_shift"))
-    pooled = tape.gather_rows(
-        x, [i * layout.total + layout.global_index for i in range(b)]
-    )
-    return tape.linear(pooled, params.t("head_w"), params.t("head_b"))
+    sequence's global token, the last of its ``total``."""
+    b = x.data.shape[0] // total
+    x = tape.layer_norm(x, final_gain, final_shift)
+    pooled = tape.gather_rows(x, [(i + 1) * total - 1 for i in range(b)])
+    return tape.linear(pooled, head_w, head_b)
 
 
-def forward_stages(config: EncoderConfig, layout: TokenLayout) -> list[Stage]:
+def forward_stages(params: EncoderParams) -> list[Stage]:
     """The forward as an ordered list of stages: embed; per layer an
     attention sublayer and an MLP sublayer, each up to its residual add;
     then the head. Each parameter tensor is read by exactly one stage, so
     changing it leaves the input of that stage and of every earlier one
-    as it was."""
-    embed = ("patch_w", "patch_b") \
-        + (("summary_init",) if layout.n_additional > 0 else ()) \
-        + ("global_token", "posenc")
-    stages = [Stage(embed, _embed)]
-    for layer in range(config.n_layers):
+    as it was. A stage holds the tensor objects of ``params.tensors``:
+    it sees values written into them in place, not tensors bound anew."""
+    layout = params.layout
+
+    def stage(body, reads, *fixed) -> Stage:
+        tensors = [params.tensors[name] for name in reads]
+        return Stage(reads, lambda x, tape: body(x, tape, *fixed, *tensors))
+
+    embed = ("patch_w", "patch_b", "posenc", "summary_init", "global_token")
+    stages = [stage(_embed, tuple(n for n in embed if n in params.tensors),
+                    layout.n_regular)]
+    for layer in range(params.config.n_layers):
         p = f"layer{layer}."
-        stages.append(Stage(
+        stages.append(stage(
+            _attention_sublayer,
             tuple(p + w for w in ("ln1_gain", "ln1_shift", "wq", "wk", "wv", "wo")),
-            partial(_attention_sublayer, p),
+            params.attn_bias, params.config.n_heads,
         ))
-        stages.append(Stage(
+        stages.append(stage(
+            _mlp_sublayer,
             tuple(p + w for w in ("ln2_gain", "ln2_shift", "mlp_w1", "mlp_b1",
                                   "mlp_w2", "mlp_b2")),
-            partial(_mlp_sublayer, p),
         ))
-    stages.append(Stage(("final_gain", "final_shift", "head_w", "head_b"), _head))
+    stages.append(stage(_head, ("final_gain", "final_shift", "head_w", "head_b"),
+                        layout.total))
     return stages
 
 
-def run_stages(stages, x: Tensor, params: EncoderParams, tape: Tape) -> Tensor:
+def run_stages(stages, x: Tensor, tape: Tape) -> Tensor:
     """Fold ``x`` through ``stages`` in order."""
     for stage in stages:
-        x = stage.run(x, params, tape)
+        x = stage.run(x, tape)
     return x
 
 
@@ -365,8 +361,7 @@ def forward_batch(images, config: EncoderConfig, params: EncoderParams,
     if len(images) < 1:
         raise ContractError("forward_batch needs at least one image")
     check_params_config(config, params)
-    return run_stages(forward_stages(config, params.layout),
-                      patch_rows(images, config), params, tape)
+    return run_stages(forward_stages(params), patch_rows(images, config), tape)
 
 
 def batch_loss(images, labels, config: EncoderConfig, params: EncoderParams,

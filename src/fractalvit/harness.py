@@ -324,8 +324,10 @@ def train(config: EncoderConfig, dataset: ToyDataset, epochs: int, lr: float,
     set. A distinct eval set is still evaluated every epoch.
     """
     _check_against_config(config, dataset, "dataset")
-    if epochs < 1 or batch < 1:
-        raise ConfigError("epochs and batch must be >= 1")
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     if not math.isfinite(lr):
         raise ConfigError(f"lr must be a finite number, got {lr!r}")
     if params is None:
@@ -537,13 +539,13 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
     the regular part of the token permutation; the rest of the
     permutation then reorders the summary and global rows of its output.
     A level-1 summary row is its ``summary_init`` row plus its position
-    row, and no later stage reads either tensor, so moving the row equals
-    relabeling both in the params."""
+    row, and only the embed stage is bound to either tensor, so moving
+    the row equals relabeling both in the params."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     check_params_config(config, params)
     rng = Rng(seed)
-    stages = forward_stages(config, params.layout)
+    stages = forward_stages(params)
     n_reg = params.layout.n_regular
     notape = Tape(recording=False)
     worst = 0.0
@@ -551,10 +553,10 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
         image = rng.uniform_array(config.image_shape)
         perm = sample_permutation(params.layout, kind, rng)
         rows = patch_rows([image], config)
-        base = run_stages(stages, rows, params, notape).data[0]
-        seq = stages[0].run(Tensor(rows.data[perm[:n_reg]]), params, notape)
+        base = run_stages(stages, rows, notape).data[0]
+        seq = stages[0].run(Tensor(rows.data[perm[:n_reg]]), notape)
         seq.data[n_reg:] = seq.data[perm[n_reg:]]
-        other = run_stages(stages[1:], seq, params, notape).data[0]
+        other = run_stages(stages[1:], seq, notape).data[0]
         worst = max(worst, float(np.abs(base - other).max()))
     return worst
 
@@ -597,12 +599,12 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
     tape.backward(batch_loss(images, labels, config, params, tape))
 
     notape = Tape(recording=False)
-    stages = forward_stages(config, params.layout)
+    stages = forward_stages(params)
     inputs = []
     x = patch_rows(images, config)
     for stage in stages:
         inputs.append(x)
-        x = stage.run(x, params, notape)
+        x = stage.run(x, notape)
     first = {name: i for i, stage in enumerate(stages) for name in stage.reads}
 
     rel_errors = []
@@ -615,7 +617,7 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
         def loss_at(idx: int, value: float) -> float:
             flat[idx] = value
             try:
-                logits = run_stages(tail, start, params, notape)
+                logits = run_stages(tail, start, notape)
                 loss = float(notape.softmax_cross_entropy_rows(logits, labels).data)
             except FloatingPointError:
                 loss = math.nan

@@ -209,6 +209,21 @@ def test_train_width_one_exits_2(tmp_path):
     assert not (tmp_path / "report.txt").exists()
 
 
+@pytest.mark.parametrize("extra,message", [
+    (dict(layers=0), "n_layers must be >= 1, got 0"),
+    (dict(patch=0), "patch_size must be >= 1, got 0"),
+    # the marked task on one patch has one class
+    (dict(grid="1x1", levels=0), "n_classes must be >= 2, got 1"),
+    (dict(epochs=0), "epochs must be >= 1, got 0"),
+    (dict(batch=0), "batch must be >= 1, got 0"),
+])
+def test_train_names_the_field_that_fails(tmp_path, extra, message):
+    result = fvit(*train_args(tmp_path, **extra))
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_train_non_finite_lr_exits_2(tmp_path):
     for lr in ("nan", "inf"):
         result = fvit(*train_args(tmp_path, lr=lr))

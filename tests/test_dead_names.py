@@ -1,7 +1,8 @@
-"""Dead-surface guards over the library's public functions, classes and
+"""Dead-surface guards over the library's functions, classes and
 methods, against the code in ``src/`` and ``fvbench/``.
 
-Dead names: every public name is named somewhere outside its own
+Dead names: every public name, and every private module-level function
+and private method (dunders aside), is named somewhere outside its own
 definition. A name that only the tests use is surface no program runs;
 delete it or give it a caller. An import, a listing in ``__all__`` and a
 listing in ``fvbench``'s ``TAPE_OPS`` (which it wraps by name) count as
@@ -39,6 +40,20 @@ def public_definitions(tree):
                     yield item
 
 
+def private_definitions(tree):
+    """Private top-level functions, and the private methods of top-level
+    classes; dunders are called by the language, not by name."""
+    def private(node):
+        return isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+
+    for node in tree.body:
+        if private(node):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if private(item))
+
+
 def mentions(tree):
     """(name, line) for each identifier, attribute, imported name, and
     string listed in a NAME_LISTS assignment."""
@@ -57,7 +72,7 @@ def mentions(tree):
                     yield item.value, item.lineno
 
 
-def unused_public_names(root_library, callers):
+def unused_names(root_library, callers, definitions=public_definitions):
     uses: dict[str, list[tuple[Path, int]]] = {}
     for directory in callers:
         for path in sorted(directory.rglob("*.py")):
@@ -65,7 +80,7 @@ def unused_public_names(root_library, callers):
                 uses.setdefault(name, []).append((path, line))
     unused = []
     for path in sorted(root_library.glob("*.py")):
-        for node in public_definitions(ast.parse(path.read_text())):
+        for node in definitions(ast.parse(path.read_text())):
             outside = [
                 (where, line) for where, line in uses.get(node.name, [])
                 if not (where == path and node.lineno <= line <= node.end_lineno)
@@ -76,7 +91,27 @@ def unused_public_names(root_library, callers):
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    assert unused_public_names(LIBRARY, CALLERS) == []
+    assert unused_names(LIBRARY, CALLERS) == []
+
+
+def test_every_private_function_and_method_is_named_outside_its_definition():
+    assert unused_names(LIBRARY, CALLERS, private_definitions) == []
+
+
+def test_private_name_guard_skips_dunders_and_finds_dead_helpers(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def _used():\n"
+        "    return 1\n"
+        "def _dead():\n"
+        "    return _dead()\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.v = _used()\n"
+        "    def _orphan(self):\n"
+        "        return 0\n"
+    )
+    assert unused_names(tmp_path, [tmp_path], private_definitions) == [
+        "mod.py:3 _dead", "mod.py:8 _orphan"]
 
 
 # Defaulted parameters that no call sets but that stay, each with its reason.

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -12,7 +12,6 @@ from fractalvit.encoder import (
     EncoderParams,
     apply_checkpoint,
     batch_loss,
-    extract_patches,
     forward,
     forward_batch,
     forward_stages,
@@ -74,7 +73,7 @@ def reference_forward(image, config, params, attend=per_head_attention,
     position table (``regular_pos`` replaces its regular rows), then the
     pre-norm blocks with ``attend`` mixing the tokens."""
     def t(name):
-        return params.t(name).data
+        return params.tensors[name].data
 
     ps, layout = config.patch_size, params.layout
     regular = np.array([
@@ -159,7 +158,22 @@ def test_config_allows_alibi_and_register():
 def test_patch_count_from_shape():
     config = tiny_config(grid=GridSpec(2, 2, 2, 1), patch_size=16)
     image = np.zeros((32, 32, 3))
-    assert extract_patches(image, config).shape == (4, 3 * 16 * 16)
+    assert patch_rows([image], config).shape == (4, 3 * 16 * 16)
+    assert patch_rows([image] * 3, config).shape == (12, 3 * 16 * 16)
+
+
+@pytest.mark.parametrize("grid, patch", [
+    (GridSpec(4, 4, 2, 1), 4), (GridSpec(3, 5, 2, 1), 2), (GridSpec(1, 4, 2, 0), 3),
+])
+def test_patch_rows_match_a_per_patch_loop(grid, patch):
+    config = tiny_config(grid=grid, patch_size=patch)
+    rng = np.random.default_rng(5)
+    images = [rng.standard_normal(config.image_shape) for _ in range(3)]
+    want = np.array([
+        image[i * patch:(i + 1) * patch, j * patch:(j + 1) * patch, :].reshape(-1)
+        for image in images for i in range(grid.n_h) for j in range(grid.n_w)
+    ])
+    assert np.array_equal(patch_rows(images, config).data, want)
 
 
 def test_zero_image_zero_bias_gives_zero_tokens():
@@ -172,7 +186,7 @@ def test_zero_image_zero_bias_gives_zero_tokens():
     randomize_params(pf, Rng(1))
     init = init_params(fractal)
     for name in ("patch_b", "summary_init", "global_token"):
-        pf.t(name).data[...] = init.t(name).data
+        pf.tensors[name].data[...] = init.tensors[name].data
     pu = init_params(full)
     pu.tensors.update(pf.tensors)
 
@@ -201,8 +215,10 @@ def test_patch_embed_rejects_wrong_image_shape():
     good = np.zeros(config.image_shape)
     with pytest.raises(ConfigError):
         forward_batch([np.zeros((8, 8, 3))], config, params, Tape())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as caught:
         forward_batch([good, np.zeros((8, 8, 3))], config, params, Tape())
+    assert str(caught.value) == \
+        "image shape (8, 8, 3) does not match configured (16, 16, 3)"
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +255,7 @@ def test_sequence_length_273_for_16x16_k4():
         n_classes=4,
     )
     params = init_params(config)
-    assert params.t("posenc").data.shape == (273, config.d)
+    assert params.tensors["posenc"].data.shape == (273, config.d)
     assert params.attn_bias.shape == (273, 273)
     logits = forward_batch([np.zeros(config.image_shape)], config, params)
     assert logits.data.shape == (1, 4)
@@ -254,8 +270,8 @@ def test_zero_qk_full_mask_averages_values():
     params = init_params(config)
     randomize_params(params, Rng(3))
     for i in range(config.n_layers):
-        params.t(f"layer{i}.wq").data[...] = 0.0
-        params.t(f"layer{i}.wk").data[...] = 0.0
+        params.tensors[f"layer{i}.wq"].data[...] = 0.0
+        params.tensors[f"layer{i}.wk"].data[...] = 0.0
     image = np.random.default_rng(4).random(config.image_shape)
     logits = forward_batch([image], config, params).data[0]
 
@@ -291,22 +307,22 @@ def test_single_token_attention_reduces_to_projections():
     )
     x = Tensor(np.random.default_rng(7).standard_normal((1, config.d)))
     tape = Tape(recording=False)
-    attention, mlp = forward_stages(config, params.layout)[1:3]
-    mid = attention.run(x, single, tape)
-    out = run_stages([attention, mlp], x, single, tape)
+    attention, mlp = forward_stages(single)[1:3]
+    mid = attention.run(x, tape)
+    out = run_stages([attention, mlp], x, tape)
 
     ln = tape.layer_norm(
-        x, params.t("layer0.ln1_gain"), params.t("layer0.ln1_shift")
+        x, params.tensors["layer0.ln1_gain"], params.tensors["layer0.ln1_shift"]
     ).data
-    v = ln @ params.t("layer0.wv").data.T
-    after = x.data + v @ params.t("layer0.wo").data.T
+    v = ln @ params.tensors["layer0.wv"].data.T
+    after = x.data + v @ params.tensors["layer0.wo"].data.T
     assert np.abs(mid.data - after).max() < 1e-12
     ln2 = tape.layer_norm(
-        Tensor(after), params.t("layer0.ln2_gain"), params.t("layer0.ln2_shift")
+        Tensor(after), params.tensors["layer0.ln2_gain"], params.tensors["layer0.ln2_shift"]
     )
-    m = tape.gelu(tape.linear(ln2, params.t("layer0.mlp_w1"),
-                              params.t("layer0.mlp_b1")))
-    m = tape.linear(m, params.t("layer0.mlp_w2"), params.t("layer0.mlp_b2"))
+    m = tape.gelu(tape.linear(ln2, params.tensors["layer0.mlp_w1"],
+                              params.tensors["layer0.mlp_b1"]))
+    m = tape.linear(m, params.tensors["layer0.mlp_w2"], params.tensors["layer0.mlp_b2"])
     assert np.abs(out.data - (after + m.data)).max() < 1e-12
 
 
@@ -334,45 +350,45 @@ def stage_configs(draw):
     )
 
 
-class ReadingParams(EncoderParams):
-    """The same params, noting the name of every tensor read."""
-
-    def __init__(self, params):
-        self.__dict__.update(params.__dict__)
-        self.names = set()
-
-    def t(self, name):
-        self.names.add(name)
-        return super().t(name)
-
-
-def stage_inputs(stages, images, config, params):
+def stage_inputs(stages, images, config):
     """The input of every stage, then the logits, as arrays."""
     x = patch_rows(images, config)
     arrays = []
     for stage in stages:
         arrays.append(x.data)
-        x = stage.run(x, params, Tape(recording=False))
+        x = stage.run(x, Tape(recording=False))
     return arrays + [x.data]
 
 
 @pytest.mark.parametrize("overrides", [
-    {}, dict(scheme="learned", policy="none", n_layers=3),
-    dict(grid=GridSpec(4, 4, 2, 0), scheme="alibi2d", mask="full"),
+    {},
+    dict(grid=GridSpec(4, 4, 2, 0), scheme="alibi2d", mask="full"),  # no summary_init
+    dict(scheme="alibi2d", policy="summary", mask="fractal"),
+    dict(scheme="learned", policy="register", n_layers=3),
 ])
 def test_each_tensor_is_read_by_the_one_stage_that_names_it(overrides):
     config = tiny_config(**overrides)
     params = init_params(config)
-    stages = forward_stages(config, params.layout)
+    randomize_params(params, Rng(12))
+    stages = forward_stages(params)
     assert len(stages) == 2 * config.n_layers + 2
     named = [name for stage in stages for name in stage.reads]
     assert sorted(named) == sorted(params.tensors)  # each name exactly once
-    x = patch_rows([np.zeros(config.image_shape)] * 2, config)
-    for stage in stages:
-        reading = ReadingParams(params)
-        x = stage.run(x, reading, Tape(recording=False))
-        assert reading.names == set(stage.reads)
-    assert x.shape == (2, config.n_classes)
+    rng = np.random.default_rng(13)
+    images = [rng.random(config.image_shape) for _ in range(2)]
+    arrays = stage_inputs(stages, images, config)
+    assert arrays[-1].shape == (2, config.n_classes)
+    for i, stage in enumerate(stages):
+        # every tensor the stage does not name turns NaN in place
+        others = {name: tensor.data.copy() for name, tensor in params.tensors.items()
+                  if name not in stage.reads}
+        for name in others:
+            params.tensors[name].data[...] = np.nan
+        out = stage.run(Tensor(arrays[i]), Tape(recording=False)).data
+        for name, data in others.items():
+            params.tensors[name].data[...] = data
+        assert np.isfinite(out).all(), i
+        assert out.tobytes() == arrays[i + 1].tobytes(), i
 
 
 @settings(max_examples=25, deadline=None)
@@ -384,8 +400,8 @@ def test_perturbing_a_tensor_leaves_earlier_stage_inputs_unchanged(
     randomize_params(params, Rng(seed))
     rng = np.random.default_rng(seed)
     images = [rng.random(config.image_shape) for _ in range(batch)]
-    stages = forward_stages(config, params.layout)
-    before = stage_inputs(stages, images, config, params)
+    stages = forward_stages(params)
+    before = stage_inputs(stages, images, config)
 
     for name, tensor, row_mask in params.trainable_items():
         allowed = np.ones(tensor.data.shape, dtype=bool)
@@ -395,7 +411,7 @@ def test_perturbing_a_tensor_leaves_earlier_stage_inputs_unchanged(
         idx = rng.choice(np.flatnonzero(allowed))
         saved = flat[idx]
         flat[idx] = saved + delta
-        after = stage_inputs(stages, images, config, params)
+        after = stage_inputs(stages, images, config)
         flat[idx] = saved
 
         (first,) = [i for i, stage in enumerate(stages) if name in stage.reads]
@@ -490,9 +506,9 @@ def test_loss_rejects_bad_label():
 
 def test_summary_tokens_start_at_zero():
     params = init_params(tiny_config())
-    assert np.all(params.t("summary_init").data == 0.0)
-    assert np.all(params.t("global_token").data == 0.0)
-    assert np.all(params.t("head_w").data == 0.0)
+    assert np.all(params.tensors["summary_init"].data == 0.0)
+    assert np.all(params.tensors["global_token"].data == 0.0)
+    assert np.all(params.tensors["head_w"].data == 0.0)
 
 
 def test_projection_weights_use_fan_in_scale():
@@ -564,29 +580,61 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert (tmp_path / "again.fvit").read_bytes() == (tmp_path / "model.fvit").read_bytes()
 
 
-def test_truncated_checkpoint_raises_contract_error(tmp_path):
-    config = tiny_config(grid=GridSpec(2, 2, 2, 1), d=4, n_heads=1,
-                         n_layers=1, n_classes=4, patch_size=1)
+@st.composite
+def checkpoint_configs(draw):
+    scheme, policy = draw(st.sampled_from([("learned", "register"),
+                                           ("alibi2d", "summary")]))
+    return tiny_config(
+        grid=draw(st.sampled_from(
+            [GridSpec(2, 2, 2, 0), GridSpec(2, 2, 2, 1), GridSpec(4, 4, 2, 2)])),
+        d=4, n_heads=draw(st.sampled_from([1, 2])),
+        n_layers=draw(st.integers(1, 2)), n_classes=4, patch_size=1,
+        scheme=scheme, policy=policy,
+        mask=draw(st.sampled_from(["fractal", "full"])),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=checkpoint_configs(), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_truncated_checkpoint_raises_contract_error(tmp_path, config, seed, data):
     params = init_params(config)
+    randomize_params(params, Rng(seed))
     path = tmp_path / "model.fvit"
     save_checkpoint(str(path), params)
     blob = path.read_bytes()
+
+    fresh = init_params(config)
+    apply_checkpoint(fresh, load_checkpoint(str(path)))
+    images = [np.random.default_rng(seed).random(config.image_shape)]
+    assert forward_batch(images, config, fresh).data.tobytes() == \
+        forward_batch(images, config, params).data.tobytes()
+    save_checkpoint(str(tmp_path / "again.fvit"), fresh)
+    assert (tmp_path / "again.fvit").read_bytes() == blob
+
+    # the byte offset where each record ends, after the 8-byte header
     names = list(params.tensors)
+    ends = [8]
+    for name, tensor in params.tensors.items():
+        shape = tensor.data.shape
+        ends.append(ends[-1] + 4 + len(name.encode()) + 4 + 4 * len(shape)
+                    + 8 * tensor.data.size)
+    assert ends[-1] == len(blob)
     cut = tmp_path / "cut.fvit"
-    prefixes = 0
-    for size in range(len(blob)):
+    # a cut between two records reads as the tensors before it, which
+    # apply_checkpoint rejects by name
+    for count, size in enumerate(ends[:-1]):
         cut.write_bytes(blob[:size])
-        try:
-            state = load_checkpoint(str(cut))
-        except ContractError:
-            continue
-        # only a cut between two records parses: it lacks the later tensors
-        assert list(state) == names[:len(state)] and len(state) < len(names)
-        prefixes += 1
+        state = load_checkpoint(str(cut))
+        assert list(state) == names[:count]
         with pytest.raises(ContractError):
             apply_checkpoint(init_params(config), state)
-    # the cuts after the header and after every record but the last
-    assert prefixes == len(names)
+    inside = [size for size in range(len(blob)) if size not in ends]
+    for size in data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=8)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ContractError):
+            load_checkpoint(str(cut))
 
 
 def test_checkpoint_binary_layout(tmp_path):

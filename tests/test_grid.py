@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalvit.errors import ConfigError, ContractError
 from fractalvit.grid import GridSpec, build_layout, max_levels
@@ -142,3 +144,34 @@ def test_dump_format():
     assert lines[0] == "0\tregular\t0\t0,0\t16"
     assert lines[16] == "16\tsummary\t1\t0,0\t-"
     assert lines[-1] == f"{layout.total - 1}\tglobal\t-\t-\t-"
+
+
+@st.composite
+def grid_specs(draw):
+    n_h, n_w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    k = draw(st.integers(2, 4))
+    return GridSpec(n_h, n_w, k, draw(st.integers(0, max_levels(n_h, n_w, k))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=grid_specs())
+def test_layout_counts_offsets_and_parents(spec):
+    layout = build_layout(spec)
+    k, top = spec.k, spec.levels
+    assert layout.counts == tuple(
+        (spec.n_h // k ** m) * (spec.n_w // k ** m) for m in range(top + 1))
+    assert layout.offsets == tuple(sum(layout.counts[:m]) for m in range(top + 1))
+    assert layout.total == sum(layout.counts) + 1
+    assert layout.token_info(layout.total - 1)[0] == "global"
+    assert layout.parent[layout.global_index] is None
+    for cell in range(layout.counts[top]):
+        assert layout.parent[layout.offsets[top] + cell] is None
+    for m in range(top):
+        h, w = layout.level_shapes[m]
+        ph, pw = layout.level_shapes[m + 1]
+        for i in range(h):
+            for j in range(w):
+                exists = i // k < ph and j // k < pw
+                want = index(layout, m + 1, i // k, j // k) if exists else None
+                assert layout.parent[index(layout, m, i, j)] == want, (m, i, j)
+    assert len(layout.dump().splitlines()) == layout.total

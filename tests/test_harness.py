@@ -13,7 +13,6 @@ from fractalvit.encoder import (
     EncoderConfig,
     EncoderParams,
     batch_loss,
-    extract_patches,
     forward,
     forward_batch,
     init_params,
@@ -442,7 +441,7 @@ def test_train_equals_the_per_epoch_evaluation_loop_property(case):
     for f in fields(got):
         assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
     for name, tensor in got_params.tensors.items():
-        assert tensor.data.tobytes() == want_params.t(name).data.tobytes(), name
+        assert tensor.data.tobytes() == want_params.tensors[name].data.tobytes(), name
 
 
 def test_attention_blocks_do_not_change_training_bytes(monkeypatch, tmp_path):
@@ -490,7 +489,7 @@ def permute_patches_by_loop(image, perm, grid, patch_size):
 ])
 def test_permute_patches_equals_the_per_patch_loop(grid, patch):
     # permuting the patch rows is permuting the image's patches, then
-    # extracting them; the identity permutation leaves the rows alone
+    # cutting them into rows
     config = EncoderConfig(grid=grid, d=4, n_heads=1, n_layers=1, n_classes=2,
                            patch_size=patch)
     rng = np.random.default_rng(17)
@@ -500,8 +499,7 @@ def test_permute_patches_equals_the_per_patch_loop(grid, patch):
     for _ in range(5):
         perm = rng.permutation(n)
         moved = permute_patches_by_loop(image, perm, grid, patch)
-        assert np.array_equal(extract_patches(moved, config), rows[perm])
-    assert np.array_equal(rows[np.arange(n)], extract_patches(image, config))
+        assert np.array_equal(patch_rows([moved], config).data, rows[perm])
 
 
 @settings(max_examples=40, deadline=None)
@@ -513,7 +511,7 @@ def test_patch_rows_permute_as_the_image_does(grid, patch, seed):
     image = rng.standard_normal(config.image_shape)
     perm = rng.permutation(grid.n_h * grid.n_w)
     moved = permute_patches_by_loop(image, perm, grid, patch)
-    assert np.array_equal(extract_patches(moved, config),
+    assert np.array_equal(patch_rows([moved], config).data,
                           patch_rows([image], config).data[perm])
 
 
@@ -526,12 +524,12 @@ def relabel_summaries(params, perm):
     assert perm[layout.global_index] == layout.global_index
     source = np.array(perm[n_reg:])
     tensors = dict(params.tensors)
-    pos = Tensor(params.t("posenc").data)
-    pos.data[n_reg:] = params.t("posenc").data[source]
+    pos = Tensor(params.tensors["posenc"].data)
+    pos.data[n_reg:] = params.tensors["posenc"].data[source]
     tensors["posenc"] = pos
     if layout.n_additional:
         tensors["summary_init"] = Tensor(
-            params.t("summary_init").data[source[:-1] - n_reg])
+            params.tensors["summary_init"].data[source[:-1] - n_reg])
     return EncoderParams(params.config, layout, params.mask, tensors,
                          params.pos_trainable_rows, params.alibi)
 
@@ -791,7 +789,7 @@ def test_gradcheck_reports_a_nan_gradient(monkeypatch):
 
     def backward(self, loss):
         real_backward(self, loss)
-        made[0].t("head_b").grad[0] = np.nan  # the last tensor checked
+        made[0].tensors["head_b"].grad[0] = np.nan  # the last tensor checked
 
     monkeypatch.setattr(harness, "init_params", init)
     monkeypatch.setattr(Tape, "backward", backward)
@@ -819,11 +817,11 @@ def test_loss_independent_parameter_has_zero_gradients_both_ways():
 
     tape = Tape()
     tape.backward(batch_loss([image], [1], config, params, tape))
-    analytic = params.t("patch_w").grad
+    analytic = params.tensors["patch_w"].grad
     assert analytic is not None and np.all(analytic == 0.0)
 
     notape = Tape(recording=False)
-    w = params.t("patch_w").data
+    w = params.tensors["patch_w"].data
     saved = w[0, 0]
     w[0, 0] = saved + 1e-4
     plus = float(batch_loss([image], [1], config, params, notape).data)

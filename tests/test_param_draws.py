@@ -97,14 +97,14 @@ def assert_one_draw_equals_the_loops(config, seed):
     expected = init_tensors_by_loop(config, params.layout.n_additional)
     assert list(params.tensors) == list(expected) + ["posenc"]
     for name, data in expected.items():
-        assert params.t(name).data.tobytes() == data.tobytes(), name
+        assert params.tensors[name].data.tobytes() == data.tobytes(), name
 
     by_loop = init_params(config)
     fast, slow = Rng(seed), Rng(seed)
     randomize_params(params, fast)
     randomize_params_by_loop(by_loop, slow)
     for name, tensor in by_loop.tensors.items():
-        assert params.t(name).data.tobytes() == tensor.data.tobytes(), name
+        assert params.tensors[name].data.tobytes() == tensor.data.tobytes(), name
     assert fast._s == slow._s
 
 
