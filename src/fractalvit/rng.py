@@ -6,12 +6,18 @@ platform and interpreter version.
 
 The array draws step many lanes of the same stream at once in numpy
 (see "lane-parallel draws" below). They return the same bits, and leave
-the same state, as calling the scalar draw once per element (for the
-truncated normal: ``normal()`` redrawn until it lies within
-``TRUNCATION``). So consecutive array draws of one kind equal one draw
-of their concatenation, and a truncated normal drawn at std 1 and then
-scaled equals the draw at that std: callers that fill many tensors draw
-once and slice.
+the same state, as a loop over ``next_u64()`` words in Python: for the
+uniforms, ``(word >> 11) * 2^-53`` per element, a float64 in [0, 1)
+with 53 random bits; for the normals, Box-Muller on two such uniforms,
+``sqrt(-2 log(1 - u1)) * cos(2 pi u2)`` through ``math.log`` and
+``math.cos``; for the truncated normals, such a normal redrawn until it
+lies within ``TRUNCATION``. So consecutive array draws of one kind equal
+one draw of their concatenation, and a truncated normal drawn at std 1
+and then scaled equals the draw at that std: callers that fill many
+tensors draw once and slice. The Box-Muller transform runs on whole
+arrays through the C library ``log`` and ``cos`` that ``math`` calls
+(scipy's ``xlogy`` and numpy's float64 ``cos``), never numpy's own
+``log``, whose last bit differs.
 
 Seeds are integers in [0, 2^64); ``check_seed``, ``Rng`` and
 ``substream_seed`` reject any other value with ``ConfigError`` rather
@@ -24,6 +30,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import ConfigError
 
@@ -94,25 +101,15 @@ class Rng:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def random(self) -> float:
-        """Uniform float64 in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"below() needs a bound in [1, 2**64], got {n}")
         threshold = ((1 << 64) // n) * n
         while True:
             v = self.next_u64()
             if v < threshold:
                 return v % n
-
-    def normal(self) -> float:
-        """Standard normal draw (Box-Muller; consumes two uniforms)."""
-        u1 = 1.0 - self.random()  # (0, 1], keeps log finite
-        u2 = self.random()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
@@ -120,44 +117,44 @@ class Rng:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
 
-
-    def _lane_words(self, count: int) -> np.ndarray:
-        """The next ``count`` outputs of ``next_u64``, stepped as lanes."""
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of ``next_u64`` as a uint64 array,
+        stepped as lanes from ``LANES_FROM`` words on."""
+        if count < LANES_FROM:
+            return np.array([self.next_u64() for _ in range(count)],
+                            dtype=np.uint64)
         words, self._s = _lane_draw(self._s, count)
         return words
 
     def _normals(self, count: int) -> np.ndarray:
-        """``count`` successive ``normal()`` draws as one array."""
-        if 2 * count < LANES_FROM:
-            return np.array([self.normal() for _ in range(count)])
-        u = self._lane_words(2 * count)
-        # math.log stays per element: np.log differs from it in the last
-        # bit on some inputs. math.cos stays too, so the values do not
-        # depend on numpy's vector math library.
-        logs = np.fromiter(
-            map(math.log, (1.0 - _unit(u[0::2])).tolist()), np.float64, count
-        )
-        cosines = np.fromiter(
-            map(math.cos, (2.0 * math.pi * _unit(u[1::2])).tolist()),
-            np.float64, count,
-        )
+        """``count`` standard normals, each by Box-Muller from two
+        uniforms: ``sqrt(-2 log(1 - u1)) * cos(2 pi u2)``."""
+        u = self._words(2 * count)
+        # Both maps run the C library's functions, as math.log and
+        # math.cos do, so the bits match the scalar formula: xlogy(1.0, y)
+        # is 1.0 * log(y) with libm's log, and numpy's float64 cos is
+        # libm's cos. np.log is not: its SIMD loop differs in the last bit
+        # on about 1 input in 300. tests/test_rng.py's large-draw pin test
+        # fails if a numpy or scipy build drifts from libm here.
+        logs = xlogy(1.0, 1.0 - _unit(u[0::2]))
+        cosines = np.cos(2.0 * math.pi * _unit(u[1::2]))
         return np.sqrt(-2.0 * logs) * cosines
 
     def uniform_array(self, shape) -> np.ndarray:
-        """``random()`` draws in row-major order."""
-        n = int(np.prod(shape))
-        if n < LANES_FROM:
-            return np.array([self.random() for _ in range(n)]).reshape(shape)
-        return _unit(self._lane_words(n)).reshape(shape)
+        """Uniform float64s in [0, 1) with 53 random bits, one word per
+        value, in row-major order."""
+        return _unit(self._words(int(np.prod(shape)))).reshape(shape)
 
     def normal_array(self, shape, std: float = 1.0) -> np.ndarray:
-        """``normal() * std`` draws in row-major order."""
+        """Standard normals (see ``_normals``) times ``std``, in
+        row-major order."""
         n = int(np.prod(shape))
         return (self._normals(n) * std).reshape(shape)
 
     def truncated_normal_array(self, shape, std: float) -> np.ndarray:
-        """``normal() * std`` draws in row-major order, each rejected and
-        redrawn until it lies within ``TRUNCATION`` standard deviations.
+        """Standard normals (see ``_normals``) times ``std``, in
+        row-major order, each rejected and redrawn until it lies within
+        ``TRUNCATION`` standard deviations.
 
         Each round draws one normal per value still missing, so no round
         draws past the last accepted value and the state ends where the
@@ -191,7 +188,8 @@ LANES_FROM = 512  # draws of fewer words step the scalar generator
 
 
 def _unit(u: np.ndarray) -> np.ndarray:
-    """``random()``'s map from uint64 to [0, 1): exact in float64."""
+    """The uniform map from uint64 to [0, 1), ``(u >> 11) * 2^-53``:
+    exact in float64."""
     return (u >> 11).astype(np.float64) * (2.0 ** -53)
 
 

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -25,20 +26,35 @@ SEEDS = (0, 1, 2 ** 63 + 5)
 # reference implementation: the array draws as scalar loops
 # ----------------------------------------------------------------------
 
+def ref_random(rng):
+    """Uniform float64 in [0, 1) with 53 random bits: the scalar draw the
+    array uniforms reproduce."""
+    return (rng.next_u64() >> 11) * (2.0 ** -53)
+
+
+def ref_normal(rng):
+    """Box-Muller on two ``ref_random`` draws in Python floats, through
+    ``math.log`` and ``math.cos``: the scalar draw the array normals
+    reproduce."""
+    u1 = 1.0 - ref_random(rng)  # (0, 1], keeps log finite
+    u2 = ref_random(rng)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
 def ref_uniform_array(rng, shape):
     n = int(np.prod(shape))
-    return np.array([rng.random() for _ in range(n)]).reshape(shape)
+    return np.array([ref_random(rng) for _ in range(n)]).reshape(shape)
 
 
 def ref_normal_array(rng, shape, std=1.0):
     n = int(np.prod(shape))
-    return np.array([rng.normal() * std for _ in range(n)]).reshape(shape)
+    return np.array([ref_normal(rng) * std for _ in range(n)]).reshape(shape)
 
 
 def ref_truncated_normal(rng, std, clip):
     """One normal draw, rejected and redrawn until within ``clip``."""
     while True:
-        z = rng.normal()
+        z = ref_normal(rng)
         if abs(z) <= clip:
             return z * std
 
@@ -145,7 +161,7 @@ def test_seeds_outside_the_stream_range_raise():
 
 def test_random_unit_interval():
     r = Rng(5)
-    draws = [r.random() for _ in range(2000)]
+    draws = r.uniform_array((2000,))
     assert all(0.0 <= x < 1.0 for x in draws)
     assert abs(np.mean(draws) - 0.5) < 0.03
 
@@ -163,9 +179,24 @@ def test_below_range_and_uniformity():
         r.below(0)
 
 
+def test_below_accepts_bounds_up_to_2_to_the_64():
+    # a bound above 2**64 used to loop forever: no word lies below a
+    # rejection threshold of ((2**64) // n) * n == 0
+    for n in (2 ** 64 + 1, 2 ** 65):
+        with pytest.raises(ValueError, match=rf"got {n}$"):
+            Rng(0).below(n)
+    with pytest.raises(ValueError, match="got -3$"):
+        Rng(0).below(-3)
+    # at 2**64 every word is accepted as it is
+    r, words = Rng(0), Rng(0)
+    assert [r.below(2 ** 64) for _ in range(3)] == [
+        words.next_u64() for _ in range(3)
+    ]
+
+
 def test_normal_moments():
     r = Rng(11)
-    draws = np.array([r.normal() for _ in range(20000)])
+    draws = r.normal_array((20000,))
     assert abs(draws.mean()) < 0.03
     assert abs(draws.std() - 1.0) < 0.03
 
@@ -229,13 +260,48 @@ def _mixed_calls(r, uniform, normal, truncated):
     out = []
     for _ in range(2):
         out += [
-            r.next_u64(), uniform(r, (700,)), r.normal(),
+            r.next_u64(), uniform(r, (700,)), ref_normal(r),
             normal(r, (3, 300), 2.0), r.below(7),
-            truncated(r, (40, 50), 0.1), r.random(), uniform(r, (2, 3)),
+            truncated(r, (40, 50), 0.1), ref_random(r), uniform(r, (2, 3)),
         ]
     items = list(range(30))
     r.shuffle(items)
     return out + [items, r.next_u64()]
+
+
+def normals_from_words(words):
+    """``ref_normal`` fed ``words`` in place of the generator's."""
+    feed = iter(words.tolist())
+    with mock.patch.object(Rng, "next_u64", lambda self: next(feed)):
+        r = Rng(0)
+        return np.array([ref_normal(r) for _ in range(words.size // 2)])
+
+
+def test_large_normal_draw_is_pinned_to_the_scalar_formula():
+    # the array Box-Muller runs scipy's xlogy and numpy's cos, which match
+    # math.log and math.cos bit for bit (np.log differs on about 1 input
+    # in 300); 2^19 normals also catch a vector log or cos that drifts
+    # from libm on 1 input in 10^5
+    words, _ = _lane_draw(Rng(2026)._s, 2 ** 20)
+    got = Rng(2026).normal_array((2 ** 19,))
+    assert got.tobytes() == normals_from_words(words).tobytes()
+
+
+def test_normal_draw_edge_inputs_match_the_scalar_formula():
+    # a uniform is (word >> 11) * 2^-53, so the word k << 11 draws
+    # k * 2^-53; each pair also runs with the 11 dropped low bits set
+    u1_ks = (0, 2 ** 53 - 1, 1)  # 1 - u1 = 1.0, 2^-53, 1 - 2^-53
+    # 2 pi u2 = 0, pi/2, 3 pi/2, 2 pi (1 - 2^-53)
+    u2_ks = (0, 2 ** 51, 3 * 2 ** 51, 2 ** 53 - 1)
+    pairs = [(k1, k2) for k1 in u1_ks for k2 in u2_ks]
+    words = np.array(
+        [(k << 11) | low for k1, k2 in pairs for low in (0, 0x7FF)
+         for k in (k1, k2)],
+        dtype=np.uint64,
+    )
+    with mock.patch.object(Rng, "_words", lambda self, count: words[:count]):
+        got = Rng(0).normal_array((words.size // 2,))
+    assert got.tobytes() == normals_from_words(words).tobytes()
 
 
 def test_scalar_and_array_calls_interleave():
