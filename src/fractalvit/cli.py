@@ -61,6 +61,11 @@ DEFAULTS = {
     "trials": "10",
 }
 
+# The keys encoder_config_from_values reads; every model command takes them.
+MODEL_KEYS = ("grid", "k", "levels", "dim", "heads", "layers", "mlp_ratio",
+              "patch", "scheme", "policy", "mask", "seed", "tau", "task")
+
+
 def parse_grid(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
@@ -352,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_posenc)
 
     p = subs.add_parser("train", help="train on a toy task")
-    _add_config_flags(p, tuple(DEFAULTS))
+    _add_config_flags(p, MODEL_KEYS + ("lr", "epochs", "batch", "count",
+                                       "data_seed"))
     p.add_argument("--out", help="report text path")
     p.add_argument("--csv", help="per-epoch CSV path")
     p.add_argument("--checkpoint", help="save trained weights here")
@@ -360,21 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_config_flags(
-        p, ("grid", "k", "levels", "dim", "heads", "layers", "mlp_ratio",
-            "patch", "scheme", "policy", "mask", "seed", "tau", "task", "eps"),
-    )
+    _add_config_flags(p, MODEL_KEYS + ("eps",))
     p.add_argument("--batch-size", type=int, default=1)
     p.add_argument("--out")
     _add_assert_flags(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("permtest", help="permutation sensitivity probe")
-    _add_config_flags(
-        p, ("grid", "k", "levels", "dim", "heads", "layers", "mlp_ratio",
-            "patch", "scheme", "policy", "mask", "seed", "tau", "task",
-            "kind", "trials"),
-    )
+    _add_config_flags(p, MODEL_KEYS + ("kind", "trials"))
     p.add_argument("--out")
     _add_assert_flags(p)
     p.set_defaults(func=cmd_permtest)

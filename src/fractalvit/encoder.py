@@ -266,7 +266,7 @@ def _embed(patches: Tensor, tape: Tape, n_reg: int, patch_w: Tensor,
         parts.append(tape.slice_rows(tokens, i * n_reg, (i + 1) * n_reg))
         parts.extend(appended)
     seq = tape.concat(parts)
-    return tape.add(seq, tape.concat([posenc] * b) if b > 1 else posenc)
+    return tape.add(seq, tape.concat([posenc] * b))
 
 
 def _attention_sublayer(x: Tensor, tape: Tape, attn_bias: np.ndarray,

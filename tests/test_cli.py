@@ -240,6 +240,21 @@ def test_train_bad_tau_exits_2(tmp_path):
         assert not (tmp_path / "report.txt").exists()
 
 
+def test_train_rejects_the_probe_flags(tmp_path, capsys):
+    # train reads no probe key, so its parser has no flag for one
+    for key, value in (("eps", "1e-5"), ("kind", "any"), ("trials", "0")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(a) for a in train_args(tmp_path, **{key: value})])
+        assert exc.value.code == 2, key
+        assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+    # a config file shared with the probe commands still serves train
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 1e-5\nkind = any\ntrials = 0\n")
+    assert cli.main([str(a) for a in train_args(tmp_path)]
+                    + ["--config", str(cfg)]) == 0
+
+
 def test_train_lr_zero_keeps_initial_accuracy(tmp_path):
     result = fvit(*train_args(tmp_path, lr="0.0"))
     assert result.returncode == 0

@@ -15,10 +15,15 @@ they call, and a constructor call counts as a call of ``__init__``.
 
 Unused imports: every name a library module binds by import is read in
 that module, an annotation included, or listed in its ``__all__``.
+
+Tape placeholders: the names ``Tape`` binds to None are exactly the
+``TAPE_OPS`` names that no op answers.
 """
 
 import ast
 from pathlib import Path
+
+from fractalvit.autodiff import Tape
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "fractalvit"
@@ -114,10 +119,27 @@ def test_private_name_guard_skips_dunders_and_finds_dead_helpers(tmp_path):
         "mod.py:3 _dead", "mod.py:8 _orphan"]
 
 
+def test_tape_placeholders_are_the_traced_names_without_an_op():
+    # fvbench's tracer looks up every TAPE_OPS name on Tape, so the deleted
+    # ops it still lists stay bound to None; once the benchmark stops
+    # listing a name, or drops TAPE_OPS, its placeholder goes too
+    tree = ast.parse((ROOT / "fvbench" / "tracing.py").read_text())
+    listed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TAPE_OPS" for t in node.targets
+        ):
+            listed = set(ast.literal_eval(node.value))
+    members = vars(Tape)
+    assert listed <= set(members)
+    ops = {name for name in listed if callable(members[name])}
+    assert {name for name, value in members.items() if value is None} \
+        == listed - ops
+
+
 # Defaulted parameters that no call sets but that stay, each with its reason.
 UNSET_EXEMPT = {
     "main(argv)": "the console entry point reads sys.argv; tests pass argv",
-    "masked_softmax(scale)": "a test-reference op; the attention tests pass the scale",
 }
 
 
