@@ -240,8 +240,21 @@ def config_echo(config: EncoderConfig) -> dict:
 # more, so another chunk size would change evaluated bits. ``train``'s
 # logit reuse depends on it too: only a training set of at most
 # EVAL_CHUNK images is evaluated in one forward of the same row count as
-# its full-batch training step.
+# its full-batch training step. The probes stack whole forwards without
+# that cost: a ``Tape`` with ``copies`` runs one gemm per forward, which
+# gives each forward its own bits (see the ``autodiff`` docstring).
 EVAL_CHUNK = 64
+
+# Most bytes of stacked stage input one probe forward takes: gradcheck's
+# perturbed copies and permutation_test's base and permuted sequences run
+# through a copies tape in chunks of this size, so memory does not grow
+# with the entry or trial count. A chunk holds at least one entry or trial.
+PROBE_STACK_BYTES = 1 << 16
+
+
+def _per_chunk(item_bytes: int) -> int:
+    """Entries or trials of ``item_bytes`` stacked input each per chunk."""
+    return max(1, PROBE_STACK_BYTES // item_bytes)
 
 
 def _hits(logits: np.ndarray, labels) -> float:
@@ -540,24 +553,37 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
     permutation then reorders the summary and global rows of its output.
     A level-1 summary row is its ``summary_init`` row plus its position
     row, and only the embed stage is bound to either tensor, so moving
-    the row equals relabeling both in the params."""
+    the row equals relabeling both in the params.
+
+    Each trial draws its image, then its permutation, and embeds both
+    sequences; the later stages then run once per chunk of trials, on a
+    ``Tape`` with one copy per sequence, so every logit has the bits of a
+    forward of its image alone. A chunk holds at most
+    ``PROBE_STACK_BYTES`` of embedded sequences."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     check_params_config(config, params)
     rng = Rng(seed)
     stages = forward_stages(params)
-    n_reg = params.layout.n_regular
+    layout = params.layout
+    n_reg = layout.n_regular
     notape = Tape(recording=False)
+    per_chunk = _per_chunk(2 * 8 * layout.total * config.d)  # 2 float64 sequences
     worst = 0.0
-    for _ in range(trials):
-        image = rng.uniform_array(config.image_shape)
-        perm = sample_permutation(params.layout, kind, rng)
-        rows = patch_rows([image], config)
-        base = run_stages(stages, rows, notape).data[0]
-        seq = stages[0].run(Tensor(rows.data[perm[:n_reg]]), notape)
-        seq.data[n_reg:] = seq.data[perm[n_reg:]]
-        other = run_stages(stages[1:], seq, notape).data[0]
-        worst = max(worst, float(np.abs(base - other).max()))
+    for done in range(0, trials, per_chunk):
+        seqs = []
+        for _ in range(min(per_chunk, trials - done)):
+            image = rng.uniform_array(config.image_shape)
+            perm = sample_permutation(layout, kind, rng)
+            rows = patch_rows([image], config)
+            moved = stages[0].run(Tensor(rows.data[perm[:n_reg]]), notape)
+            moved.data[n_reg:] = moved.data[perm[n_reg:]]
+            seqs += [stages[0].run(rows, notape).data, moved.data]
+        tape = Tape(recording=False, copies=len(seqs))
+        logits = run_stages(stages[1:], Tensor(np.concatenate(seqs)), tape).data
+        # a fold of Python's max over the trials: a NaN deviation never wins
+        deviations = np.abs(logits[0::2] - logits[1::2]).max(axis=1)
+        worst = max([worst, *deviations.tolist()])
     return worst
 
 
@@ -571,15 +597,20 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
     of ``batch_loss``, the objective training runs, over every trainable
     parameter entry, on one random batch.
 
-    The forward runs once and keeps each stage's input. Each difference
-    then reruns the stages from the first one that reads the perturbed
-    tensor, plus the loss: the earlier stages do not read it, so every
-    loss is bit for bit the one ``batch_loss`` gives.
+    The forward runs once and keeps each stage's input. The differences
+    then go by chunks of entries: the first stage that reads the perturbed
+    tensor runs once per step, +eps and -eps for each entry, and the later
+    stages and the loss run once per chunk, on a ``Tape`` with one copy
+    per step. The earlier stages do not read the tensor, and each copy
+    has the bits of its own run, so every loss is bit for bit the one
+    ``batch_loss`` gives. A chunk holds at most ``PROBE_STACK_BYTES`` of
+    first-stage outputs.
 
     Relative error uses a 1e-6 denominator floor so finite-difference
     noise on near-zero gradients does not register as disagreement. A
     relative error that is not finite makes the result not finite. A step
-    that makes the loss overflow raises ``ConfigError``.
+    that leaves an entry unchanged, or that makes the loss overflow,
+    raises ``ConfigError`` naming the first such entry.
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError(f"eps must be a positive finite step, got {eps!r}")
@@ -600,11 +631,9 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
 
     notape = Tape(recording=False)
     stages = forward_stages(params)
-    inputs = []
-    x = patch_rows(images, config)
+    acts = [patch_rows(images, config)]  # each stage's input, then the logits
     for stage in stages:
-        inputs.append(x)
-        x = stage.run(x, notape)
+        acts.append(stage.run(acts[-1], notape))
     first = {name: i for i, stage in enumerate(stages) for name in stage.reads}
 
     rel_errors = []
@@ -612,32 +641,60 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
         flat = tensor.data.reshape(-1)
         indices = np.arange(flat.size) if row_mask is None \
             else np.flatnonzero(np.repeat(row_mask, tensor.data.shape[1]))
-        tail, start = stages[first[name]:], inputs[first[name]]
+        i = first[name]
 
-        def loss_at(idx: int, value: float) -> float:
-            flat[idx] = value
+        def entry(idx: int) -> str:
+            where = np.unravel_index(idx, tensor.data.shape)
+            return f"{name}[{', '.join(map(str, where))}]"
+
+        def losses(steps) -> np.ndarray | None:
+            """The loss after each (index, value) step, or None when a step
+            makes a stage overflow or the loss not finite."""
+            outs = []
             try:
-                logits = run_stages(tail, start, notape)
-                loss = float(notape.softmax_cross_entropy_rows(logits, labels).data)
+                for idx, value in steps:
+                    saved = flat[idx]
+                    flat[idx] = value
+                    try:
+                        outs.append(stages[i].run(acts[i], notape).data)
+                    finally:
+                        flat[idx] = saved
+                stacked = Tape(recording=False, copies=len(outs))
+                logits = run_stages(stages[i + 1:], Tensor(np.concatenate(outs)),
+                                    stacked)
+                loss = stacked.softmax_cross_entropy_rows(logits,
+                                                          labels * len(outs)).data
             except FloatingPointError:
-                loss = math.nan
-            if not math.isfinite(loss):
-                entry = ", ".join(
-                    str(i) for i in np.unravel_index(idx, tensor.data.shape))
-                raise ConfigError(
-                    f"eps {eps!r} is too large: the loss is not finite when "
-                    f"{name}[{entry}] moves by it"
-                )
-            return loss
+                return None
+            return loss if np.isfinite(loss).all() else None
 
+        values = flat[indices]
+        unmoved = (values + eps == values) | (values - eps == values)
+        if unmoved.any():
+            raise ConfigError(f"eps {eps!r} is too small: "
+                              f"{entry(indices[unmoved.argmax()])} does not move by it")
+        per_chunk = _per_chunk(2 * acts[i + 1].data.nbytes)
         fd = np.empty(indices.size)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for j, idx in enumerate(indices.tolist()):
-                saved = flat[idx]
-                plus = loss_at(idx, saved + eps)
-                minus = loss_at(idx, saved - eps)
-                flat[idx] = saved
-                fd[j] = (plus - minus) / (2.0 * eps)
+            for lo in range(0, indices.size, per_chunk):
+                steps = [(idx, value) for idx in indices[lo:lo + per_chunk].tolist()
+                         for value in (flat[idx] + eps, flat[idx] - eps)]
+                loss = losses(steps)
+                if loss is None:
+                    # a set of steps fails exactly when one of them fails
+                    # on its own, so bisect for the first that does
+                    first_bad, end = 0, len(steps)
+                    while end - first_bad > 1:
+                        mid = (first_bad + end) // 2
+                        if losses(steps[first_bad:mid]) is None:
+                            end = mid
+                        else:
+                            first_bad = mid
+                    raise ConfigError(
+                        f"eps {eps!r} is too large: the loss is not finite when "
+                        f"{entry(steps[first_bad][0])} moves by it"
+                    )
+                fd[lo:lo + len(steps) // 2] = (loss[0::2] - loss[1::2]) / (2.0 * eps)
         a = tensor.grad.reshape(-1)[indices]
         rel_errors.append(
             np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-6)

@@ -408,6 +408,17 @@ def test_gradcheck_step_that_overflows_the_loss_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_gradcheck_step_too_small_to_move_an_entry_exits_2(tmp_path):
+    # a zero central difference used to print max_rel_err = 1.048... and exit 0
+    out = tmp_path / "gc.txt"
+    result = fvit("gradcheck", "--grid", "2x2", "--k", "2", "--levels", "1",
+                  "--dim", "8", "--layers", "1", "--eps", "1e-17", "--out", out)
+    assert result.returncode == 2
+    assert result.stderr == ("error: eps 1e-17 is too small: patch_w[0, 1] "
+                             "does not move by it\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--assert-max", "nan"), ("--assert-min", "inf"), ("--assert-max", "x"),
 ])

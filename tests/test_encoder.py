@@ -21,7 +21,7 @@ from fractalvit.encoder import (
     run_stages,
     save_checkpoint,
 )
-from fractalvit.errors import ConfigError, ContractError
+from fractalvit.errors import ConfigError, ContractError, ShapeError
 from fractalvit.grid import GridSpec
 from fractalvit.harness import randomize_params
 from fractalvit.mask import build_fractal_mask
@@ -419,6 +419,48 @@ def test_perturbing_a_tensor_leaves_earlier_stage_inputs_unchanged(
         for i in range(first + 1):
             assert np.array_equal(before[i], after[i]), (name, i)
         assert not np.array_equal(before[first + 1], after[first + 1]), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme=st.sampled_from(["none", "sincos2d", "alibi2d", "learned"]),
+       mask=st.sampled_from(["fractal", "full"]), layers=st.integers(1, 2),
+       copies=st.integers(1, 9), batch=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+def test_a_copies_tape_gives_each_copy_the_bits_of_its_own_run(
+        scheme, mask, layers, copies, batch, seed):
+    policy = {"none": "none", "learned": "register"}.get(scheme, "summary")
+    config = tiny_config(d=8, n_layers=layers, n_classes=4, patch_size=2,
+                         scheme=scheme, policy=policy, mask=mask)
+    params = init_params(config)
+    randomize_params(params, Rng(seed))
+    rng = np.random.default_rng(seed)
+    stages = forward_stages(params)
+    notape = Tape(recording=False)
+    seqs = [
+        stages[0].run(patch_rows([rng.random(config.image_shape)
+                                  for _ in range(batch)], config), notape).data
+        for _ in range(copies)
+    ]
+    labels = rng.integers(0, config.n_classes, batch).tolist()
+    stacked = Tape(recording=False, copies=copies)
+    logits = run_stages(stages[1:], Tensor(np.concatenate(seqs)), stacked)
+    losses = stacked.softmax_cross_entropy_rows(logits, labels * copies).data
+    assert losses.shape == ((copies,) if copies > 1 else ())
+    for c, seq in enumerate(seqs):
+        own = run_stages(stages[1:], Tensor(seq), notape)
+        assert logits.data[c * batch:(c + 1) * batch].tobytes() == own.data.tobytes()
+        own_loss = notape.softmax_cross_entropy_rows(own, labels).data
+        assert losses.reshape(-1)[c].tobytes() == own_loss.tobytes()
+
+
+def test_copies_need_a_non_recording_tape_and_rows_that_split():
+    for recording, copies in ((True, 2), (False, 0), (True, 0)):
+        with pytest.raises(ContractError, match=f"copies={copies} needs"):
+            Tape(recording=recording, copies=copies)
+    assert Tape(recording=True, copies=1).recording
+    with pytest.raises(ShapeError, match="5 rows do not split into 2 copies"):
+        Tape(recording=False, copies=2).linear(Tensor(np.ones((5, 3))),
+                                               Tensor(np.ones((4, 3))))
 
 
 def test_mask_and_alibi_are_read_only():

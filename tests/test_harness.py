@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,8 +16,10 @@ from fractalvit.encoder import (
     batch_loss,
     forward,
     forward_batch,
+    forward_stages,
     init_params,
     patch_rows,
+    run_stages,
     save_checkpoint,
 )
 from fractalvit.errors import ConfigError, ContractError
@@ -602,6 +605,42 @@ def test_permutation_test_equals_the_image_reference_property(case, seed):
         permutation_test_by_image(config, params, kind, 2, seed)
 
 
+def reference_permutation_test(config, params, kind, trials, seed):
+    """Reference ``permutation_test``: the per-trial loop, with the base
+    and the permuted sequence each run through the stages alone."""
+    rng = Rng(seed)
+    stages = forward_stages(params)
+    n_reg = params.layout.n_regular
+    notape = Tape(recording=False)
+    worst = 0.0
+    for _ in range(trials):
+        image = rng.uniform_array(config.image_shape)
+        perm = sample_permutation(params.layout, kind, rng)
+        rows = patch_rows([image], config)
+        base = run_stages(stages, rows, notape).data[0]
+        seq = stages[0].run(Tensor(rows.data[perm[:n_reg]]), notape)
+        seq.data[n_reg:] = seq.data[perm[n_reg:]]
+        other = run_stages(stages[1:], seq, notape).data[0]
+        worst = max(worst, float(np.abs(base - other).max()))
+    return worst
+
+
+@pytest.mark.parametrize("mask", ["fractal", "full"])
+@pytest.mark.parametrize("kind", harness.PERM_KINDS)
+def test_permutation_test_equals_the_per_trial_loop_bitwise(kind, mask):
+    config = small_config(grid=GridSpec(4, 4, 2, 2), d=8, scheme="alibi2d",
+                          mask=mask)
+    params = init_params(config)
+    randomize_params(params, Rng(5))
+    # two full chunks of trials, then a partial one
+    per_chunk = harness._per_chunk(2 * 8 * params.layout.total * config.d)
+    assert per_chunk > 1
+    trials = 2 * per_chunk + 1
+    expected = reference_permutation_test(config, params, kind, trials, seed=4)
+    assert permutation_test(config, params, kind, trials, seed=4) == expected
+    assert expected > 1e-6  # alibi2d tells every kind apart
+
+
 def test_sample_permutation_kinds():
     rng = Rng(0)
     layout = build_layout(GRID)
@@ -756,6 +795,23 @@ def full_forward_gradcheck(config, eps, batch_size, seed):
     return worst
 
 
+# A gradcheck case whose largest tensor, patch_w, has 384 entries. Its
+# embedded sequence of 22 tokens of 8 features makes 23 entries a chunk, so
+# patch_w spans 17 chunks, the last of 16 entries.
+CHUNKED_CASE = dict(grid=GridSpec(4, 4, 2, 2), d=8, n_layers=1)
+
+
+def test_the_chunked_gradcheck_case_ends_in_a_partial_chunk():
+    config = small_config(**CHUNKED_CASE)
+    params = init_params(config)
+    entries = params.tensors["patch_w"].data.size
+    assert entries == max(t.data.size for _, t, _ in params.trainable_items())
+    embedded = forward_stages(params)[0].run(
+        patch_rows([np.zeros(config.image_shape)], config), Tape(recording=False))
+    per_chunk = harness._per_chunk(2 * embedded.data.nbytes)
+    assert entries > 2 * per_chunk and entries % per_chunk
+
+
 @pytest.mark.parametrize("overrides, batch_size", [
     # fvbench's probe-4x4 gradcheck preset
     (dict(d=8, n_layers=1), 1),
@@ -769,6 +825,7 @@ def full_forward_gradcheck(config, eps, batch_size, seed):
     (dict(grid=GridSpec(2, 2, 2, 1), d=8, n_classes=4, patch_size=2,
           mask="full"), 1),
     (dict(grid=GridSpec(2, 2, 2, 0), d=8, n_classes=4, patch_size=2), 1),
+    (CHUNKED_CASE, 1),
 ])
 def test_gradcheck_equals_the_full_forward_check_bitwise(overrides, batch_size):
     config = small_config(**overrides)
@@ -803,6 +860,48 @@ def test_gradcheck_step_that_overflows_the_loss_is_a_config_error():
             "eps 1e+300 is too large: the loss is not finite when "
             "patch_w[0, 0] moves by it")):
         gradcheck(config, eps=1e300, batch_size=1, seed=0)
+
+
+def test_gradcheck_names_the_first_entry_whose_minus_step_overflows(monkeypatch):
+    # Only layer0.mlp_w1 is checked. The MLP's layer norm outputs 0 in every
+    # column but column 3, where it outputs -1, so moving mlp_w1[j, 3] down
+    # by 1e300 sends hidden unit j to +1e300, which GELU passes and the final
+    # layer norm overflows on; moving it up sends the unit to -1e300, which
+    # GELU turns to 0. Entry [0, 3], flat index 3, is the first to fail, in
+    # the middle of its chunk, and only its minus step fails.
+    config = small_config(grid=GridSpec(2, 2, 2, 1), d=8, n_layers=1,
+                          n_classes=4, patch_size=2)
+    real_randomize = harness.randomize_params
+
+    def randomize(params, rng):
+        real_randomize(params, rng)
+        params.tensors["layer0.ln2_gain"].data[...] = 0.0
+        params.tensors["layer0.ln2_shift"].data[...] = np.eye(8)[3] * -1.0
+        items = [item for item in params.trainable_items()
+                 if item[0] == "layer0.mlp_w1"]
+        params.trainable_items = lambda: iter(items)
+
+    monkeypatch.setattr(harness, "randomize_params", randomize)
+    # +eps and -eps copies of the MLP sublayer's float64 output
+    entry_bytes = 2 * 8 * build_layout(config.grid).total * config.d
+    assert harness._per_chunk(entry_bytes) > 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                "eps 1e+300 is too large: the loss is not finite when "
+                "layer0.mlp_w1[0, 3] moves by it") + "$"):
+            gradcheck(config, eps=1e300, batch_size=1, seed=0)
+
+
+def test_gradcheck_step_too_small_to_move_an_entry_is_a_config_error():
+    # patch_w[0, 0] + 1e-17 differs from patch_w[0, 0]; the larger
+    # patch_w[0, 1] does not move, and a zero central difference would
+    # report its correct gradient as a relative error near 1
+    config = small_config(grid=GridSpec(2, 2, 2, 1), d=8, n_layers=1,
+                          n_classes=4)
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            "eps 1e-17 is too small: patch_w[0, 1] does not move by it") + "$"):
+        gradcheck(config, eps=1e-17, batch_size=1, seed=0)
 
 
 def test_loss_independent_parameter_has_zero_gradients_both_ways():
