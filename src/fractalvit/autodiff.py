@@ -4,9 +4,10 @@ The operation set is the ten ops the encoder runs: ``linear`` layers, one
 fused multi-head ``attention`` (it lays the projected rows out by head,
 then runs scaled scores, softmax under an additive bias table with -inf
 on excluded pairs, and the weighted sum of values in cache-sized
-blocks), same-shape ``add``, ``reshape``, row stacking (``concat``),
-slicing (``slice_rows``) and gathering (``gather_rows``),
-``layer_norm``, exact-CDF ``gelu``, and batched softmax cross-entropy
+blocks; a sequence may have fewer query rows than keys), same-shape
+``add``, ``reshape``, row stacking (``concat``), slicing
+(``slice_rows``) and gathering (``gather_rows``), ``layer_norm``,
+exact-CDF ``gelu``, and batched softmax cross-entropy
 (``softmax_cross_entropy_rows``). The bit-for-bit reference ``attention``
 is tested against, the unfused composition in plain numpy, lives in
 ``tests/test_autodiff.py``. ``Tape`` binds ten more names to None: ops
@@ -29,10 +30,14 @@ them. Over 900 shapes (1-64 rows, 8-128 in, 4-128 out, 2-17 copies; numpy
 2.4.6, OpenBLAS 0.3.31, one thread and two) the flat product differed on
 262 and the stack on none. Every other op works per row, or per image and
 head.
+
+Importing the module sets glibc's malloc to keep freed pages mapped
+(``_keep_freed_pages_mapped``), since every step frees a whole tape.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -49,6 +54,32 @@ _LN_EPS = 1e-6  # added to the variance in layer_norm
 # from the product through the softmax to the weighted sum. A block holds
 # at least one image, however large.
 ATTENTION_BLOCK_BYTES = 2 << 20
+
+
+def _keep_freed_pages_mapped() -> None:
+    """Make glibc's malloc keep the pages a freed tape gave back.
+
+    Each training step frees its whole tape. By default glibc then trims
+    the top of the heap and unmaps every block above its mmap threshold,
+    so the next step page-faults the same memory in again: about 1,060
+    minor faults per recording step of 16 4x4 images at d=32 with two
+    layers. With blocks under 32 MiB (glibc's largest threshold on
+    64-bit) taken from the heap and the heap never trimmed, the pages
+    stay mapped and such a step faults none. The cost is that the heap's
+    high-water mark stays resident: 0.3 MB more peak RSS on the
+    benchmark's probe-4x4 workload. It changes no value. Where the C
+    library has no ``mallopt`` (not glibc), nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, -1)
+
+
+_keep_freed_pages_mapped()
 
 
 def _softmax_in_place(p: np.ndarray, bias: np.ndarray) -> None:
@@ -328,16 +359,20 @@ class Tape:
 
     def attention(self, q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray,
                   heads: int) -> Tensor:
-        """Multi-head attention over b stacked sequences of n tokens.
+        """Multi-head attention of m query rows over b stacked sequences of
+        n tokens.
 
-        q, k and v are the (b*n, d) rows of the three projections; head i
-        owns columns [i*dh, (i+1)*dh) with dh = d // heads. ``bias`` is a
-        constant (heads, n, n) or (n, n) table with -inf on excluded pairs;
-        its last axis gives n. Each head computes
-        softmax(q_i @ k_iᵀ / sqrt(dh) + bias) @ v_i, and the result is the
-        heads merged back into (b*n, d) rows. Images run in blocks of at
-        most ``ATTENTION_BLOCK_BYTES`` of scores, so the scores never exist
-        for the whole batch at once.
+        k and v are the (b*n, d) rows of the key and value projections, q
+        the (b*m, d) rows of the query projection; head i owns columns
+        [i*dh, (i+1)*dh) with dh = d // heads. ``bias`` is a constant
+        (heads, m, n) or (m, n) table with -inf on excluded pairs; its last
+        axis gives n and the one before it m, with 1 <= m <= n. Each head
+        computes softmax(q_i @ k_iᵀ / sqrt(dh) + bias) @ v_i, and the result
+        is the heads merged back into (b*m, d) rows. The encoder passes
+        m = n, every token a query, except in its last layer, where only
+        the global token queries (m = 1). Images run in blocks of at most
+        ``ATTENTION_BLOCK_BYTES`` of scores, so the scores never exist for
+        the whole batch at once.
 
         The output and the gradients equal, bit for bit, those of the
         unfused composition reshape -> transpose -> batched matmul ->
@@ -348,41 +383,44 @@ class Tape:
         order, v, then q, then k.
         """
         qd, kd, vd = q.data, k.data, v.data
-        if qd.ndim != 2 or kd.shape != qd.shape or vd.shape != qd.shape:
+        if kd.ndim != 2 or vd.shape != kd.shape or qd.ndim != 2 \
+                or qd.shape[1] != kd.shape[1]:
             raise ShapeError(
-                f"attention: q, k and v must be equal (rows, d) matrices, got "
-                f"{qd.shape}, {kd.shape} and {vd.shape}"
+                f"attention: q, k and v must be (rows, d) matrices with one d "
+                f"and equal k and v, got {qd.shape}, {kd.shape} and {vd.shape}"
             )
-        rows, d = qd.shape
+        rows, d = kd.shape
         if heads < 1 or d % heads:
             raise ShapeError(f"attention: d={d} does not split into {heads} heads")
         bias = np.asarray(bias, dtype=np.float64)
-        n = bias.shape[-1] if bias.ndim else 0
-        if bias.shape not in ((n, n), (heads, n, n)) or n < 1 or rows % n:
+        m, n = bias.shape[-2:] if bias.ndim >= 2 else (0, 0)
+        if bias.shape not in ((m, n), (heads, m, n)) or not 1 <= m <= n \
+                or rows % n or qd.shape[0] != rows // n * m:
             raise ShapeError(
                 f"attention: bias shape {bias.shape} does not fit {heads} heads "
-                f"over sequences that split {rows} rows"
+                f"over query rows {qd.shape[0]} and key rows {rows}"
             )
         b, dh = rows // n, d // heads
         scale = 1.0 / np.sqrt(dh)
 
-        def split(x: np.ndarray, axes) -> np.ndarray:
-            """(b*n, d) rows as a contiguous (b, n, h, dh) stack permuted
+        def split(x: np.ndarray, t: int, axes) -> np.ndarray:
+            """(b*t, d) rows as a contiguous (b, t, h, dh) stack permuted
             by ``axes``."""
-            return np.ascontiguousarray(x.reshape(b, n, heads, dh).transpose(axes))
+            return np.ascontiguousarray(x.reshape(b, t, heads, dh).transpose(axes))
 
         def merge(stack: np.ndarray, axes) -> np.ndarray:
-            """A stack that ``axes`` permutes to (b, n, h, dh), as
-            contiguous (b*n, d) rows."""
-            return np.ascontiguousarray(stack.transpose(axes)).reshape(rows, d)
+            """A stack that ``axes`` permutes to (b, t, h, dh), as
+            contiguous (b*t, d) rows."""
+            return np.ascontiguousarray(stack.transpose(axes)).reshape(-1, d)
 
-        # Queries and values as (b, h, n, dh), keys already transposed to
-        # (b, h, dh, n): a transpose inside the product would run another
-        # BLAS kernel, whose bits may differ. (0, 2, 1, 3) is its own inverse.
-        qh = split(qd, (0, 2, 1, 3))
-        kh = split(kd, (0, 2, 3, 1))
-        vh = split(vd, (0, 2, 1, 3))
-        step = max(1, ATTENTION_BLOCK_BYTES // (8 * heads * n * n))
+        # Queries as (b, h, m, dh), values as (b, h, n, dh), keys already
+        # transposed to (b, h, dh, n): a transpose inside the product would
+        # run another BLAS kernel, whose bits may differ. (0, 2, 1, 3) is its
+        # own inverse.
+        qh = split(qd, m, (0, 2, 1, 3))
+        kh = split(kd, n, (0, 2, 3, 1))
+        vh = split(vd, n, (0, 2, 1, 3))
+        step = max(1, ATTENTION_BLOCK_BYTES // (8 * heads * m * n))
         blocks = [slice(i, i + step) for i in range(0, b, step)]
         out_heads = np.empty_like(qh)
         probs = []
@@ -396,7 +434,7 @@ class Tape:
         out = Tensor._wrap(merge(out_heads, (0, 2, 1, 3)))
 
         def pull(g, accum):
-            gh = split(g, (0, 2, 1, 3))
+            gh = split(g, m, (0, 2, 1, 3))
             dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
             for sl, p in zip(blocks, probs):
                 gs = gh[sl]

@@ -6,7 +6,11 @@ There is one forward path, over a stacked batch of images; ``forward`` is
 that path on a batch of one. It is a fold over ``forward_stages``: embed,
 then per layer an attention sublayer (LN, the q, k and v projections, one
 fused ``Tape.attention`` that lays out and runs all heads, the output
-projection, the residual add) and an MLP sublayer, then the head. Each
+projection, the residual add) and an MLP sublayer, then the head. The
+head reads only each sequence's global token, so the last layer
+computes only that row: its LN and k, v projections run on all b*n
+rows, and its q projection, attention, output projection, residual add
+and MLP sublayer, and the head's final LN, on the b global rows. Each
 stage is bound to the parameter tensors its ``reads`` names and gets no
 params, so it reads no other tensor. The mask (a bool array) and the
 ALiBi biases enter the attention as one additive table built with the
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -269,15 +274,31 @@ def _embed(patches: Tensor, tape: Tape, n_reg: int, patch_w: Tensor,
     return tape.add(seq, tape.concat([posenc] * b))
 
 
+def _every_row(x: Tensor, tape: Tape) -> Tensor:
+    """Every row of ``x``: the queries of every layer but the last."""
+    return x
+
+
+def _global_rows(x: Tensor, tape: Tape, total: int) -> Tensor:
+    """The global token of each sequence of ``total`` rows in ``x``, its
+    last: the queries of the last layer, the only rows the head reads."""
+    return tape.gather_rows(x, range(total - 1, x.data.shape[0], total))
+
+
 def _attention_sublayer(x: Tensor, tape: Tape, attn_bias: np.ndarray,
-                        n_heads: int, ln_gain: Tensor, ln_shift: Tensor,
-                        wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
-    """x + Wo MHA(LN(x)), x being (b*n, d). All heads run in one
-    ``Tape.attention`` under the additive table ``attn_bias``."""
+                        n_heads: int, queries: Callable[[Tensor, Tape], Tensor],
+                        ln_gain: Tensor, ln_shift: Tensor, wq: Tensor,
+                        wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
+    """x + Wo MHA(LN(x)) at the rows ``queries`` picks from x, x being
+    (b*n, d). Keys and values come from all b*n rows; the query
+    projection, the attention and the residual run on the picked rows
+    only. All heads run in one ``Tape.attention`` under the additive table
+    ``attn_bias``, whose rows are the picked rows of a sequence."""
     ln = tape.layer_norm(x, ln_gain, ln_shift)
-    q, k, v = (tape.linear(ln, w) for w in (wq, wk, wv))
+    q = tape.linear(queries(ln, tape), wq)
+    k, v = (tape.linear(ln, w) for w in (wk, wv))
     attn = tape.attention(q, k, v, attn_bias, n_heads)
-    return tape.add(x, tape.linear(attn, wo))
+    return tape.add(queries(x, tape), tape.linear(attn, wo))
 
 
 def _mlp_sublayer(x: Tensor, tape: Tape, ln_gain: Tensor, ln_shift: Tensor,
@@ -288,22 +309,22 @@ def _mlp_sublayer(x: Tensor, tape: Tape, ln_gain: Tensor, ln_shift: Tensor,
     return tape.add(x, tape.linear(m, w2, b2))
 
 
-def _head(x: Tensor, tape: Tape, total: int, final_gain: Tensor,
-          final_shift: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
-    """Final LN, then the class logits (b, n_classes) read from each
-    sequence's global token, the last of its ``total``."""
-    b = x.data.shape[0] // total
+def _head(x: Tensor, tape: Tape, final_gain: Tensor, final_shift: Tensor,
+          head_w: Tensor, head_b: Tensor) -> Tensor:
+    """Final LN, then the class logits (b, n_classes) of the b global-token
+    rows the last layer left."""
     x = tape.layer_norm(x, final_gain, final_shift)
-    pooled = tape.gather_rows(x, [(i + 1) * total - 1 for i in range(b)])
-    return tape.linear(pooled, head_w, head_b)
+    return tape.linear(x, head_w, head_b)
 
 
 def forward_stages(params: EncoderParams) -> list[Stage]:
     """The forward as an ordered list of stages: embed; per layer an
     attention sublayer and an MLP sublayer, each up to its residual add;
-    then the head. Each parameter tensor is read by exactly one stage, so
-    changing it leaves the input of that stage and of every earlier one
-    as it was. A stage holds the tensor objects of ``params.tensors``:
+    then the head. In the last layer only each sequence's global token
+    queries, under the bias table's last row, so that attention sublayer's
+    output and every later stage have b rows, not b*n. Each parameter
+    tensor is read by exactly one stage, so changing it leaves the input
+    of that stage and of every earlier one as it was. A stage holds the tensor objects of ``params.tensors``:
     it sees values written into them in place, not tensors bound anew."""
     layout = params.layout
 
@@ -314,20 +335,22 @@ def forward_stages(params: EncoderParams) -> list[Stage]:
     embed = ("patch_w", "patch_b", "posenc", "summary_init", "global_token")
     stages = [stage(_embed, tuple(n for n in embed if n in params.tensors),
                     layout.n_regular)]
+    last = params.config.n_layers - 1
     for layer in range(params.config.n_layers):
         p = f"layer{layer}."
+        bias, queries = (params.attn_bias, _every_row) if layer < last else \
+            (params.attn_bias[..., -1:, :], partial(_global_rows, total=layout.total))
         stages.append(stage(
             _attention_sublayer,
             tuple(p + w for w in ("ln1_gain", "ln1_shift", "wq", "wk", "wv", "wo")),
-            params.attn_bias, params.config.n_heads,
+            bias, params.config.n_heads, queries,
         ))
         stages.append(stage(
             _mlp_sublayer,
             tuple(p + w for w in ("ln2_gain", "ln2_shift", "mlp_w1", "mlp_b1",
                                   "mlp_w2", "mlp_b2")),
         ))
-    stages.append(stage(_head, ("final_gain", "final_shift", "head_w", "head_b"),
-                        layout.total))
+    stages.append(stage(_head, ("final_gain", "final_shift", "head_w", "head_b")))
     return stages
 
 

@@ -237,7 +237,10 @@ def config_echo(config: EncoderConfig) -> dict:
 # attention scores are bounded per block by Tape.attention. The value
 # stays because OpenBLAS's gemm result depends on the row count M: logits
 # of a batch of 8 or fewer differ in the last bit from those of 12 or
-# more, so another chunk size would change evaluated bits. ``train``'s
+# more, so another chunk size would change evaluated bits. Such small
+# row counts occur in the head and, since the last layer runs on the
+# global rows only, in its q and output projections and its MLP: they
+# all multiply b rows, one per image. ``train``'s
 # logit reuse depends on it too: only a training set of at most
 # EVAL_CHUNK images is evaluated in one forward of the same row count as
 # its full-batch training step. The probes stack whole forwards without
@@ -544,7 +547,8 @@ def sample_permutation(layout: TokenLayout, kind: str, rng: Rng) -> list[int]:
 def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
                      trials: int, seed: int) -> float:
     """Max over trials of |logits(image) - logits(permuted image)|, with
-    random images and ``params`` (typically randomized) built for ``config``.
+    random images and ``params`` (typically randomized) built for ``config``;
+    NaN when a deviation is NaN, as on a model whose logits overflow.
 
     Both images run through one ``forward_stages`` list, and the permuted
     image is never built: summaries move in the sequence, patches in the
@@ -581,10 +585,9 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
             seqs += [stages[0].run(rows, notape).data, moved.data]
         tape = Tape(recording=False, copies=len(seqs))
         logits = run_stages(stages[1:], Tensor(np.concatenate(seqs)), tape).data
-        # a fold of Python's max over the trials: a NaN deviation never wins
-        deviations = np.abs(logits[0::2] - logits[1::2]).max(axis=1)
-        worst = max([worst, *deviations.tolist()])
-    return worst
+        # np.maximum, unlike max(), keeps a NaN deviation
+        worst = np.maximum(worst, np.abs(logits[0::2] - logits[1::2]).max())
+    return float(worst)
 
 
 # ----------------------------------------------------------------------

@@ -248,9 +248,11 @@ def test_masked_softmax_property(images, heads, n, table_rank, seed):
 # ----------------------------------------------------------------------
 
 def attention_case(rng, images, heads, n, dh, bias_shape):
-    """Random (images*n, heads*dh) q, k and v rows and a bias table with
-    -inf on some entries but none on a whole row."""
-    q, k, v = (rng.standard_normal((images * n, heads * dh)) for _ in range(3))
+    """Random (images*n, heads*dh) k and v rows, (images*m, heads*dh) q
+    rows, m being the bias table's row count, and a bias table with -inf
+    on some entries but none on a whole row."""
+    m = bias_shape[-2]
+    q, k, v = (rng.standard_normal((images * t, heads * dh)) for t in (m, n, n))
     allowed = rng.random(bias_shape) < 0.6
     allowed[..., rng.integers(n)] = True
     bias = np.where(allowed, rng.standard_normal(bias_shape), -np.inf)
@@ -265,18 +267,20 @@ def reference_attention(q, k, v, bias, heads, g):
     the heads back into rows. The backward runs each step's adjoint in
     reverse. A tape replays the composition's records last to first, so
     an input that q, k and v share gets v's adjoint, then q's, then k's.
+    The queries are the m rows per sequence of the table's (m, n) rows.
     """
-    n = bias.shape[-1]
-    (rows, d), dh = q.shape, q.shape[1] // heads
-    b = rows // n
+    m, n = bias.shape[-2:]
+    d = q.shape[1]
+    b, dh = k.shape[0] // n, d // heads
 
-    def split(x, axes):
-        return np.ascontiguousarray(x.reshape(b, n, heads, dh).transpose(axes))
+    def split(x, t, axes):
+        return np.ascontiguousarray(x.reshape(b, t, heads, dh).transpose(axes))
 
     def merge(stack, axes):
-        return np.ascontiguousarray(stack.transpose(axes)).reshape(rows, d)
+        return np.ascontiguousarray(stack.transpose(axes)).reshape(-1, d)
 
-    qh, kt, vh = split(q, (0, 2, 1, 3)), split(k, (0, 2, 3, 1)), split(v, (0, 2, 1, 3))
+    qh, kt, vh = (split(q, m, (0, 2, 1, 3)), split(k, n, (0, 2, 3, 1)),
+                  split(v, n, (0, 2, 1, 3)))
     scale = 1.0 / np.sqrt(dh)
     p = (qh @ kt) * scale
     p += bias
@@ -285,7 +289,7 @@ def reference_attention(q, k, v, bias, heads, g):
     p /= p.sum(axis=-1, keepdims=True)
     out = merge(p @ vh, (0, 2, 1, 3))
 
-    gh = split(g, (0, 2, 1, 3))  # the pull of the merge: its inverse
+    gh = split(g, m, (0, 2, 1, 3))  # the pull of the merge: its inverse
     dp = gh @ vh.swapaxes(-1, -2)
     dvh = p.swapaxes(-1, -2) @ gh
     dz = dp - (dp * p).sum(axis=-1, keepdims=True)
@@ -316,18 +320,20 @@ def assert_bitwise_equal(fused, reference):
 BLOCK = 3  # images per block under the patched budget
 
 
-@pytest.mark.parametrize("bias_rank", [3, 2])  # ALiBi (h, n, n), plain (n, n)
+@pytest.mark.parametrize("bias_rank", [3, 2])  # ALiBi (h, m, n), plain (m, n)
 @pytest.mark.parametrize("images", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_attention_equals_the_composition_bitwise(monkeypatch, images, bias_rank):
     n, dh = 7, 3
     for heads in (1, 2, 4):
-        monkeypatch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", BLOCK * heads * n * n * 8)
         rng = np.random.default_rng(100 + 10 * images + heads)
-        q, k, v, bias = attention_case(rng, images, heads, n, dh,
-                                       (heads, n, n)[3 - bias_rank:])
-        weights = rng.standard_normal(q.shape)
-        assert_bitwise_equal(fused_attention(q, k, v, bias, heads, weights),
-                             reference_attention(q, k, v, bias, heads, weights))
+        for m in (n, 1, 3):  # query rows per sequence
+            monkeypatch.setattr(autodiff, "ATTENTION_BLOCK_BYTES",
+                                BLOCK * heads * m * n * 8)
+            q, k, v, bias = attention_case(rng, images, heads, n, dh,
+                                           (heads, m, n)[3 - bias_rank:])
+            weights = rng.standard_normal(q.shape)
+            assert_bitwise_equal(fused_attention(q, k, v, bias, heads, weights),
+                                 reference_attention(q, k, v, bias, heads, weights))
 
 
 def test_attention_shared_input_accumulates_like_the_composition():
@@ -389,17 +395,38 @@ def test_attention_rejects_shapes_that_do_not_chain():
             t.attention(x, x, x, bias, 2)
 
 
-@settings(max_examples=25, deadline=None)
+def test_attention_takes_m_query_rows_per_sequence():
+    t = Tape()
+    x = Tensor(np.zeros((6, 4)))  # keys and values: 2 sequences of 3
+    for m in (1, 2):
+        q = Tensor(np.zeros((2 * m, 4)))
+        assert t.attention(q, x, x, np.zeros((m, 3)), 2).shape == (2 * m, 4)
+        assert t.attention(q, x, x, np.zeros((2, m, 3)), 2).shape == (2 * m, 4)
+        for rows in (m, 3 * m, 6):  # not 2 sequences of m query rows
+            with pytest.raises(ShapeError, match="query rows"):
+                t.attention(Tensor(np.zeros((rows, 4))), x, x, np.zeros((m, 3)), 2)
+    for bias in (np.zeros((4, 3)), np.zeros((2, 4, 3)), np.zeros((0, 3)),
+                 np.zeros((3, 1, 3)), np.zeros((2, 1, 2))):
+        # more query rows than keys, none, a head count other than 2, and
+        # 3 sequences of 2 keys, which take 3 query rows, not 8
+        with pytest.raises(ShapeError, match="does not fit"):
+            t.attention(Tensor(np.zeros((8, 4))), x, x, bias, 2)
+    with pytest.raises(ShapeError):  # q's width is not the keys'
+        t.attention(Tensor(np.zeros((2, 2))), x, x, np.zeros((1, 3)), 2)
+
+
+@settings(max_examples=40, deadline=None)
 @given(images=st.integers(1, 5), heads=st.integers(1, 4), n=st.integers(1, 5),
-       dh=st.integers(1, 4), table_rank=st.integers(2, 3),
+       dh=st.integers(1, 4), table_rank=st.integers(2, 3), data=st.data(),
        per_block=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-def test_attention_property(images, heads, n, dh, table_rank, per_block, seed):
+def test_attention_property(images, heads, n, dh, table_rank, data, per_block, seed):
+    m = data.draw(st.integers(1, n), label="m")
     rng = np.random.default_rng(seed)
     q, k, v, bias = attention_case(rng, images, heads, n, dh,
-                                   (heads, n, n)[3 - table_rank:])
+                                   (heads, m, n)[3 - table_rank:])
     weights = rng.standard_normal(q.shape)
     # a budget of per_block images; 0 is below one image
-    budget = per_block * heads * n * n * 8
+    budget = per_block * heads * m * n * 8
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(autodiff, "ATTENTION_BLOCK_BYTES", budget)
         fused = fused_attention(q, k, v, bias, heads, weights)

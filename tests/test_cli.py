@@ -467,6 +467,31 @@ def test_permtest_cross_block_breaks_invariance(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_permtest_assert_max_fails_a_model_whose_logits_overflow(
+        tmp_path, monkeypatch, capsys):
+    from test_harness import overflow_logits
+
+    real_randomize = cli.randomize_params
+
+    def randomize(params, rng):
+        real_randomize(params, rng)
+        overflow_logits(params)
+
+    monkeypatch.setattr(cli, "randomize_params", randomize)
+    out = tmp_path / "pt.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main([
+            "permtest", "--grid", "4x4", "--k", "2", "--levels", "1",
+            "--dim", "8", "--heads", "2", "--layers", "2", "--task", "marked",
+            "--scheme", "none", "--policy", "none", "--mask", "fractal",
+            "--kind", "cross-block-transposition", "--trials", "4",
+            "--assert-max", "1e-10", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "assertion failed: value nan is not a number\n"
+    assert out.read_text().endswith("max_deviation = nan\n")
+
+
 @pytest.mark.parametrize("command, extra, last", [
     ("gradcheck", ["--batch-size", "2"],
      ["eps = 1e-5", "batch_size = 2", "max_rel_err = "]),

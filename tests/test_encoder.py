@@ -1,4 +1,6 @@
+import ctypes
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -112,15 +114,19 @@ def reference_forward(image, config, params, attend=per_head_attention,
     ("alibi2d", "summary", "fractal"),
 ])
 def test_forward_batch_matches_per_head_reference(n_heads, scheme, policy, mask):
-    config = tiny_config(scheme=scheme, policy=policy, mask=mask, d=16,
-                         n_heads=n_heads)
-    params = init_params(config)
-    randomize_params(params, Rng(40 + n_heads))
-    rng = np.random.default_rng(41)
-    images = [rng.random(config.image_shape) for _ in range(3)]
-    batched = forward_batch(images, config, params).data
-    expected = np.array([reference_forward(img, config, params) for img in images])
-    assert np.abs(batched - expected).max() < 1e-12
+    # the reference runs every row through every layer; with one layer the
+    # only layer is the last, which runs on the global rows alone
+    for n_layers in (2, 1, 3):
+        config = tiny_config(scheme=scheme, policy=policy, mask=mask, d=16,
+                             n_heads=n_heads, n_layers=n_layers)
+        params = init_params(config)
+        randomize_params(params, Rng(40 + n_heads))
+        rng = np.random.default_rng(41)
+        images = [rng.random(config.image_shape) for _ in range(3)]
+        batched = forward_batch(images, config, params).data
+        expected = np.array([reference_forward(img, config, params)
+                             for img in images])
+        assert np.abs(batched - expected).max() < 1e-12, n_layers
 
 
 # ----------------------------------------------------------------------
@@ -746,6 +752,28 @@ def test_batch_loss_matches_mean_of_sample_losses():
         for img, lab in zip(images, labels)
     ]
     assert abs(batched - float(np.mean(singles))) < 1e-12
+
+
+def test_a_repeated_training_step_does_not_fault_its_pages_in_again():
+    # the autodiff module keeps freed pages mapped through glibc's mallopt
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    config = tiny_config()
+    params = init_params(config)
+    randomize_params(params, Rng(36))
+    rng = np.random.default_rng(37)
+    images = [rng.random(config.image_shape) for _ in range(16)]
+
+    def step():
+        tape = Tape()
+        tape.backward(batch_loss(images, list(range(16)), config, params, tape))
+        params.zero_grads()
+
+    step()
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
 def test_batch_gradients_match_per_sample_gradients():

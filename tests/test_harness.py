@@ -749,6 +749,26 @@ def test_symmetry_breaking_smoke():
     assert dev > 1e-6
 
 
+def overflow_logits(params):
+    """Scale the head so that a 4x4 d=8 model's logits overflow to
+    [-inf, nan, ...] on random images."""
+    params.tensors["head_w"].data[...] *= 1e308
+    params.tensors["final_gain"].data[...] *= 100
+
+
+def test_permutation_test_keeps_a_nan_deviation():
+    # Python's max never picks a NaN, so a fold with it read this model as
+    # invariant: 0.0
+    config = small_config(d=8, scheme="none", policy="none")
+    params = init_params(config)
+    randomize_params(params, Rng(1))
+    overflow_logits(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = permutation_test(config, params, "cross-block-transposition",
+                               trials=4, seed=3)
+    assert math.isnan(dev)
+
+
 # ----------------------------------------------------------------------
 # gradcheck
 # ----------------------------------------------------------------------
@@ -826,6 +846,9 @@ def test_the_chunked_gradcheck_case_ends_in_a_partial_chunk():
           mask="full"), 1),
     (dict(grid=GridSpec(2, 2, 2, 0), d=8, n_classes=4, patch_size=2), 1),
     (CHUNKED_CASE, 1),
+    # the last layer queries the global row of the ALiBi table only
+    (dict(grid=GridSpec(2, 2, 2, 1), d=8, n_classes=4, patch_size=2,
+          scheme="alibi2d", policy="summary"), 2),
 ])
 def test_gradcheck_equals_the_full_forward_check_bitwise(overrides, batch_size):
     config = small_config(**overrides)
