@@ -1,17 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The operation set is the ten ops the encoder runs: ``linear`` layers, one
+The operation set is the eight ops the encoder runs: ``linear`` layers, one
 fused multi-head ``attention`` (it lays the projected rows out by head,
 then runs scaled scores, softmax under an additive bias table with -inf
 on excluded pairs, and the weighted sum of values in cache-sized
 blocks; a sequence may have fewer query rows than keys), same-shape
-``add``, ``reshape``, row stacking (``concat``), slicing
-(``slice_rows``) and gathering (``gather_rows``), ``layer_norm``,
-exact-CDF ``gelu``, and batched softmax cross-entropy
-(``softmax_cross_entropy_rows``). The bit-for-bit reference ``attention``
-is tested against, the unfused composition in plain numpy, lives in
-``tests/test_autodiff.py``. ``Tape`` binds ten more names to None: ops
-deleted from the library that the benchmark's tracer still lists.
+``add``, ``reshape``, ``concat`` of row slices (it also slices and picks
+rows), ``layer_norm``, exact-CDF ``gelu``, and batched softmax
+cross-entropy (``softmax_cross_entropy_rows``). The bit-for-bit
+reference ``attention`` is tested against, the unfused composition in
+plain numpy, lives in ``tests/test_autodiff.py``. ``Tape`` binds twelve
+more names to None: ops deleted from the library that the benchmark's
+tracer still lists.
 
 Every op runs in float64. A ``Tape`` records the ops of one forward pass;
 ``Tape.backward`` replays the record once in reverse and accumulates
@@ -260,56 +260,42 @@ class Tape:
         self._push(out, pull)
         return out
 
-    def concat(self, parts: list[Tensor]) -> Tensor:
-        """Stack the rows of matrices that share a column count."""
+    def concat(self, parts) -> Tensor:
+        """Stack row slices ``(a, rows)`` of matrices that share a column
+        count. ``rows`` is a slice with step >= 1 that picks at least one
+        row inside ``a`` (``slice(None)``: every row); a matrix may recur.
+        The pull adds each part's adjoint rows into one zero buffer per
+        distinct matrix, in part order."""
         if not parts:
             raise ShapeError("concat needs a non-empty list")
-        for p in parts:
-            if p.data.ndim != 2:
-                raise ShapeError(f"concat expects matrices, got {p.data.shape}")
-        out = Tensor._wrap(np.concatenate([p.data for p in parts]))
+        first = parts[0][0].data.shape
+        cols = first[1] if len(first) == 2 else None
+        sizes = []
+        for a, rows in parts:
+            shape = a.data.shape
+            if len(shape) != 2 or shape[1] != cols:
+                raise ShapeError(f"concat expects matrices with one column "
+                                 f"count, got {first} and {shape}")
+            n = shape[0]
+            start = 0 if rows.start is None else rows.start
+            stop = n if rows.stop is None else rows.stop
+            step = 1 if rows.step is None else rows.step
+            if not (step >= 1 and 0 <= start < stop <= n):
+                raise ContractError(f"concat: rows [{start}:{stop}:{step}] are "
+                                    f"empty, reversed or outside [0, {n})")
+            sizes.append((stop - start - 1) // step + 1)
+        out = Tensor._wrap(np.concatenate([a.data[rows] for a, rows in parts]))
 
         def pull(g, accum):
+            sums: dict[int, tuple[Tensor, np.ndarray]] = {}
             start = 0
-            for p in parts:
-                size = p.data.shape[0]
-                accum(p, g[start:start + size])
+            for (a, rows), size in zip(parts, sizes):
+                if id(a) not in sums:
+                    sums[id(a)] = (a, np.zeros_like(a.data))
+                sums[id(a)][1][rows] += g[start:start + size]
                 start += size
-
-        self._push(out, pull)
-        return out
-
-    def slice_rows(self, a: Tensor, start: int, stop: int) -> Tensor:
-        """Rows [start, stop) of a matrix."""
-        if a.data.ndim != 2:
-            raise ShapeError(f"slice_rows expects a matrix, got {a.data.shape}")
-        n = a.data.shape[0]
-        if not (0 <= start < stop <= n):
-            raise ContractError(f"slice [{start}:{stop}] outside axis of size {n}")
-        out = Tensor._wrap(a.data[start:stop].copy())
-
-        def pull(g, accum):
-            z = np.zeros_like(a.data)
-            z[start:stop] = g
-            accum(a, z, owned=True)
-
-        self._push(out, pull)
-        return out
-
-    def gather_rows(self, a: Tensor, indices) -> Tensor:
-        """Select rows of a matrix; backward scatter-adds into place."""
-        if a.data.ndim != 2:
-            raise ShapeError(f"gather_rows expects a matrix, got {a.data.shape}")
-        idx = [int(i) for i in indices]
-        n = a.data.shape[0]
-        if any(not 0 <= i < n for i in idx):
-            raise ContractError(f"gather indices outside [0, {n})")
-        out = Tensor._wrap(a.data[idx].copy())
-
-        def pull(g, accum):
-            z = np.zeros_like(a.data)
-            np.add.at(z, idx, g)
-            accum(a, z, owned=True)
+            for a, z in sums.values():
+                accum(a, z, owned=True)
 
         self._push(out, pull)
         return out
@@ -488,5 +474,6 @@ class Tape:
     # still lists in ``TAPE_OPS`` and looks up on this class; no op answers
     # them. The benchmark change that ports the tracer to a tape hook deletes
     # these names together with ``TAPE_OPS``.
-    mul = scale = matmul = transpose = bmm = swap_last = slice_cols = \
-        sum_all = masked_softmax = softmax_cross_entropy = None
+    mul = scale = matmul = transpose = bmm = swap_last = slice_rows = \
+        slice_cols = gather_rows = sum_all = masked_softmax = \
+        softmax_cross_entropy = None

@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 from .encoder import EncoderConfig, init_params, save_checkpoint
 from .errors import ConfigError
@@ -156,8 +157,19 @@ def encoder_config_from_values(values: dict) -> EncoderConfig:
     )
 
 
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
+@contextmanager
+def output_path(args, key: str):
+    """The path of flag ``--key`` for the body to write; an ``OSError``
+    (a name too long, a read-only directory) becomes a ``ConfigError``."""
+    path = getattr(args, key)
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"--{key} {path}: cannot write: {exc.strerror}") from None
+
+
+def write_text(args, key: str, text: str) -> None:
+    with output_path(args, key) as path, open(path, "w", newline="") as fh:
         fh.write(text)
 
 
@@ -182,7 +194,7 @@ def write_probe_report(args, config: EncoderConfig, extra: list[str],
     echo = [f"{key} = {item}" for key, item in config_echo(config).items()]
     text = "\n".join(echo + extra) + "\n"
     if args.out:
-        write_text(args.out, text)
+        write_text(args, "out", text)
     else:
         sys.stdout.write(text)
     check_assertions(value, args)
@@ -200,14 +212,15 @@ def cmd_mask(args) -> int:
         built = build_full_mask(layout.total)
     else:
         built = build_fractal_mask(layout)
-    write_text(args.out, mask_pgm(built) if args.format == "pgm" else mask_csv(built))
+    write_text(args, "out",
+               mask_pgm(built) if args.format == "pgm" else mask_csv(built))
     return 0
 
 
 def cmd_layout(args) -> int:
     values = resolve_run_config(args)
     layout = build_layout(grid_from_values(values))
-    write_text(args.out, layout.dump())
+    write_text(args, "out", layout.dump())
     return 0
 
 
@@ -216,7 +229,7 @@ def cmd_posenc(args) -> int:
     scheme = values["scheme"]
     if scheme == "alibi-slopes":
         slopes = alibi_slopes(_int(values, "heads"))
-        write_text(args.out, "\n".join(repr(float(s)) for s in slopes) + "\n")
+        write_text(args, "out", "\n".join(repr(float(s)) for s in slopes) + "\n")
         return 0
     if args.table:
         layout = build_layout(grid_from_values(values))
@@ -227,7 +240,7 @@ def cmd_posenc(args) -> int:
             seed=substream_seed(seed, 1),
             policy=values["policy"], tau=_float(values, "tau"),
         )
-        write_text(args.out, postable_csv(table))
+        write_text(args, "out", postable_csv(table))
         return 0
     if scheme != "sincos2d":
         raise ConfigError(
@@ -237,7 +250,7 @@ def cmd_posenc(args) -> int:
     n_h, n_w = parse_grid(values["grid"])
     table = sincos2d(n_h, n_w, _int(values, "dim"), _float(values, "tau"))
     rows = table.reshape(n_h * n_w, -1)
-    write_text(args.out, "".join(csv_row(row) + "\n" for row in rows))
+    write_text(args, "out", "".join(csv_row(row) + "\n" for row in rows))
     return 0
 
 
@@ -257,11 +270,12 @@ def cmd_train(args) -> int:
         params=params,
     )
     if args.out:
-        write_text(args.out, report.to_text())
+        write_text(args, "out", report.to_text())
     if args.csv:
-        write_text(args.csv, report.to_csv())
+        write_text(args, "csv", report.to_csv())
     if args.checkpoint:
-        save_checkpoint(args.checkpoint, params)
+        with output_path(args, "checkpoint") as path:
+            save_checkpoint(path, params)
     check_assertions(report.final_eval_acc, args)
     return 0
 

@@ -262,16 +262,17 @@ def patch_rows(images, config: EncoderConfig) -> Tensor:
 def _embed(patches: Tensor, tape: Tape, n_reg: int, patch_w: Tensor,
            patch_b: Tensor, posenc: Tensor, *appended: Tensor) -> Tensor:
     """Patch rows -> stacked (b*n, d) sequences [regular patches |
-    ``appended``], each plus the position table. ``appended`` is the
-    summary inits, if the layout has any, then the global token."""
+    ``appended``], each plus the position table, in two ``concat`` calls.
+    ``appended`` is the summary inits, if the layout has any, then the
+    global token."""
     b = patches.data.shape[0] // n_reg
     tokens = tape.linear(patches, patch_w, patch_b)
+    tail = [(t, slice(None)) for t in appended]
     parts = []
     for i in range(b):
-        parts.append(tape.slice_rows(tokens, i * n_reg, (i + 1) * n_reg))
-        parts.extend(appended)
+        parts += [(tokens, slice(i * n_reg, (i + 1) * n_reg)), *tail]
     seq = tape.concat(parts)
-    return tape.add(seq, tape.concat([posenc] * b))
+    return tape.add(seq, tape.concat([(posenc, slice(None))] * b))
 
 
 def _every_row(x: Tensor, tape: Tape) -> Tensor:
@@ -281,8 +282,9 @@ def _every_row(x: Tensor, tape: Tape) -> Tensor:
 
 def _global_rows(x: Tensor, tape: Tape, total: int) -> Tensor:
     """The global token of each sequence of ``total`` rows in ``x``, its
-    last: the queries of the last layer, the only rows the head reads."""
-    return tape.gather_rows(x, range(total - 1, x.data.shape[0], total))
+    last, as a strided row slice: the queries of the last layer, the only
+    rows the head reads."""
+    return tape.concat([(x, slice(total - 1, None, total))])
 
 
 def _attention_sublayer(x: Tensor, tape: Tape, attn_bias: np.ndarray,

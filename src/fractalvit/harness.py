@@ -685,17 +685,12 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
                 loss = losses(steps)
                 if loss is None:
                     # a set of steps fails exactly when one of them fails
-                    # on its own, so bisect for the first that does
-                    first_bad, end = 0, len(steps)
-                    while end - first_bad > 1:
-                        mid = (first_bad + end) // 2
-                        if losses(steps[first_bad:mid]) is None:
-                            end = mid
-                        else:
-                            first_bad = mid
+                    # on its own, so the first such step is the culprit
+                    bad = next(idx for idx, value in steps
+                               if losses([(idx, value)]) is None)
                     raise ConfigError(
                         f"eps {eps!r} is too large: the loss is not finite when "
-                        f"{entry(steps[first_bad][0])} moves by it"
+                        f"{entry(bad)} moves by it"
                     )
                 fd[lo:lo + len(steps) // 2] = (loss[0::2] - loss[1::2]) / (2.0 * eps)
         a = tensor.grad.reshape(-1)[indices]

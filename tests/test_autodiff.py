@@ -667,7 +667,7 @@ def test_linear_matches_explicit_composition():
     t = Tape()
     fused = t.linear(x, w, b)
     # add takes equal shapes: the bias row repeated on every row
-    bias_rows = t.gather_rows(t.reshape(b, (1, 4)), [0] * 5)
+    bias_rows = t.concat([(t.reshape(b, (1, 4)), slice(None))] * 5)
     explicit = t.add(t.linear(x, w), bias_rows)
     assert np.allclose(fused.data, explicit.data, atol=1e-15)
     t.backward(weighted_sum(t, fused, np.ones((5, 4))))
@@ -685,13 +685,11 @@ def test_slice_concat_reshape_roundtrip_grads():
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((4, 6)))
     t = Tape()
-    top = t.slice_rows(x, 0, 2)
-    bottom = t.slice_rows(x, 2, 4)
-    stacked = t.concat([bottom, top])  # (4, 6): the halves swapped
+    stacked = t.concat([(x, slice(2, 4)), (x, slice(0, 2))])  # halves swapped
     assert np.array_equal(stacked.data, np.concatenate([x.data[2:], x.data[:2]]))
-    middle = t.slice_rows(stacked, 1, 3)  # x's last row over its first
+    middle = t.concat([(stacked, slice(1, 3))])  # x's last row over its first
     regrouped = t.reshape(middle, (3, 4))
-    tail = t.slice_rows(regrouped, 1, 3)  # the last 8 of the 12 entries
+    tail = t.concat([(regrouped, slice(1, None))])  # the last 8 of the 12 entries
     t.backward(weighted_sum(t, tail, np.ones((2, 4))))
     expected = np.zeros((4, 6))
     expected[3, 4:] = 1.0
@@ -700,9 +698,64 @@ def test_slice_concat_reshape_roundtrip_grads():
 
 
 def test_slice_out_of_range_raises():
+    # out of range, then empty, then reversed or of step 0
     t = Tape()
-    with pytest.raises(ContractError):
-        t.slice_rows(Tensor(np.zeros((2, 2))), 0, 3)
+    x = Tensor(np.zeros((3, 2)))
+    for rows in (slice(0, 4), slice(-1, 2), slice(3, None), slice(5, 7),
+                 slice(None, 4, 2), slice(1, 1), slice(2, 1), slice(2, 0, -1),
+                 slice(None, None, -1), slice(0, 3, 0)):
+        with pytest.raises(ContractError, match="empty, reversed or outside"):
+            t.concat([(x, slice(None)), (x, rows)])
+
+
+def test_concat_rejects_parts_that_are_not_matrices_of_one_width():
+    t = Tape()
+    x = Tensor(np.zeros((3, 2)))
+    with pytest.raises(ShapeError, match="non-empty"):
+        t.concat([])
+    for other in (np.zeros((3, 3)), np.zeros(2), np.zeros((1, 3, 2)),
+                  np.zeros(())):
+        for parts in ([(x, slice(None)), (Tensor(other), slice(None))],
+                      [(Tensor(other), slice(None)), (x, slice(None))]):
+            with pytest.raises(ShapeError, match="one column count"):
+                t.concat(parts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_concat_equals_numpy_slices_bitwise(data, seed):
+    # the forward is numpy's concatenation of the slices; each source's
+    # gradient starts from zeros and adds each part's rows in part order
+    rng = np.random.default_rng(seed)
+    cols = data.draw(st.integers(1, 4))
+    sources = [Tensor(rng.standard_normal((data.draw(st.integers(1, 6)), cols)))
+               for _ in range(data.draw(st.integers(1, 3)))]
+    parts = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        a = data.draw(st.sampled_from(sources))
+        n = a.data.shape[0]
+        start = data.draw(st.none() | st.integers(0, n - 1))
+        stop = data.draw(st.none() | st.integers((start or 0) + 1, n))
+        step = data.draw(st.none() | st.integers(1, 3))
+        parts.append((a, slice(start, stop, step)))
+    t = Tape()
+    out = t.concat(parts)
+    expected = np.concatenate([a.data[rows] for a, rows in parts])
+    assert out.data.tobytes() == expected.tobytes()
+    assert out.data.shape == expected.shape
+    g = rng.standard_normal(out.data.shape)
+    t.backward(weighted_sum(t, out, g))
+    sums = {id(a): np.zeros_like(a.data) for a, _ in parts}
+    row = 0
+    for a, rows in parts:
+        size = len(a.data[rows])
+        sums[id(a)][rows] += g[row:row + size]
+        row += size
+    for a in sources:
+        if id(a) in sums:
+            assert a.grad.tobytes() == sums[id(a)].tobytes()
+        else:
+            assert a.grad is None
 
 
 # ----------------------------------------------------------------------
@@ -776,7 +829,7 @@ def test_primitive_gradients_on_random_shapes():
 
 PRIMITIVE_CASES = (
     "linear", "linear_bias", "layer_norm", "gelu", "concat_rows",
-    "gather_rows", "slice_rows", "softmax_cross_entropy_rows",
+    "concat_strided", "concat_repeated", "softmax_cross_entropy_rows",
 )
 
 
@@ -799,14 +852,19 @@ def primitive_case(op, rng, a, b, c):
     if op == "gelu":
         return [normal(a, b)], lambda t, x: t.gelu(x)
     if op == "concat_rows":
-        return [normal(a, b), normal(c, b)], lambda t, x, y: t.concat([x, y])
-    if op == "gather_rows":
-        indices = rng.integers(0, a, size=a + c)  # more picks than rows repeat
-        return [normal(a, b)], lambda t, x: t.gather_rows(x, indices)
-    if op == "slice_rows":
         start = int(rng.integers(0, a))
         stop = int(rng.integers(start + 1, a + 1))
-        return [normal(a, b)], lambda t, x: t.slice_rows(x, start, stop)
+        return ([normal(a, b), normal(c, b)],
+                lambda t, x, y: t.concat([(x, slice(start, stop)), (y, slice(None))]))
+    if op == "concat_strided":
+        start, step = int(rng.integers(0, a)), int(rng.integers(1, c + 1))
+        return ([normal(a + c, b)],
+                lambda t, x: t.concat([(x, slice(start, None, step))]))
+    if op == "concat_repeated":
+        # the source recurs, and its slices overlap
+        start = int(rng.integers(0, a))
+        return ([normal(a, b)], lambda t, x: t.concat(
+            [(x, slice(None)), (x, slice(start, a)), (x, slice(None, None, 2))]))
     if op == "softmax_cross_entropy_rows":
         labels = rng.integers(0, c + 1, size=a)
         return ([normal(a, c + 1)],

@@ -95,6 +95,15 @@ def test_layout_dump(tmp_path):
     assert lines[0].startswith("0\tregular")
 
 
+def test_layout_out_that_cannot_be_written_exits_2(tmp_path):
+    # the directory exists, but no file system takes a 300-byte name
+    out = tmp_path / ("x" * 300)
+    result = fvit("layout", "--grid", "4x4", "--out", out)
+    assert result.returncode == 2
+    assert f"error: --out {out}: cannot write: File name too long" \
+        in result.stderr
+
+
 # ----------------------------------------------------------------------
 # posenc command
 # ----------------------------------------------------------------------
@@ -309,6 +318,14 @@ def test_train_checkpoint_in_missing_directory_exits_2(tmp_path):
     assert result.returncode == 2
     assert "error: --checkpoint" in result.stderr
     assert not (tmp_path / "report.txt").exists()
+
+
+def test_train_checkpoint_that_cannot_be_written_exits_2(tmp_path):
+    ckpt = tmp_path / ("x" * 300)
+    result = fvit(*train_args(tmp_path), "--checkpoint", ckpt)
+    assert result.returncode == 2
+    assert f"error: --checkpoint {ckpt}: cannot write: File name too long" \
+        in result.stderr
 
 
 def test_train_assert_min_violation_exits_3(tmp_path):
