@@ -22,14 +22,19 @@ accumulating, as an optimizer expects.
 
 A non-recording tape can run C independent forwards at once: with
 ``copies=C`` the rows of every tensor are C equal blocks, one per forward,
-and each block gets exactly the bits of its own run. Only ``linear`` needs
-to know: OpenBLAS's gemm result depends on the row count, so C blocks
-flattened into one 2-D product differ in the last bit from the per-block
-products, while a 3-D stack of the C products, one gemm each, matches
-them. Over 900 shapes (1-64 rows, 8-128 in, 4-128 out, 2-17 copies; numpy
-2.4.6, OpenBLAS 0.3.31, one thread and two) the flat product differed on
-262 and the stack on none. Every other op works per row, or per image and
-head.
+and each block gets exactly the bits of its own run. ``linear`` runs one
+gemm per block: OpenBLAS's gemm result depends on the row count, so C
+blocks flattened into one 2-D product differ in the last bit from the
+per-block products, while a 3-D stack of the C products, one gemm each,
+matches them. Over 900 shapes (1-64 rows, 8-128 in, 4-128 out, 2-17
+copies; numpy 2.4.6, OpenBLAS 0.3.31, one thread and two) the flat
+product differed on 262 and the stack on none. The forwards may also
+differ in one parameter: on such a tape a parameter of ``linear``,
+``layer_norm`` or ``concat`` may carry a leading axis of C values, a
+(C, out, in) weight or (C, out) bias, a (C, d) gain or shift, or a
+(C, r, cols) part. Copy c then reads value c with the same kernel, so
+each copy still has the bits of a run with that value alone. Every other
+op works per row, or per image and head, and reads no parameter.
 
 Importing the module sets glibc's malloc to keep freed pages mapped
 (``_keep_freed_pages_mapped``), since every step frees a whole tape.
@@ -141,7 +146,10 @@ class Tape:
     stacked by rows: ``linear`` multiplies each block of rows on its own,
     one gemm per copy, because one gemm over the flattened rows gives
     other bits, and ``softmax_cross_entropy_rows`` returns the C per-copy
-    losses. Each copy's values are bit for bit those of its own run.
+    losses. A parameter of ``linear``, ``layer_norm`` or ``concat`` may be
+    a stack of C values, one per copy, along a leading axis; a recording
+    tape rejects such a stack as a wrong shape. Each copy's values are bit
+    for bit those of its own run with its own parameter values.
     """
 
     def __init__(self, recording: bool = True, copies: int = 1):
@@ -156,6 +164,19 @@ class Tape:
     def _push(self, out: Tensor, pull) -> None:
         if self.recording:
             self._records.append((out, pull))
+
+    def _stacked(self, param: Tensor, dims: int, op: str) -> bool:
+        """Whether ``param`` is a stack of per-copy values: a leading
+        ``copies`` axis over its ``dims`` axes. Only a non-recording tape
+        takes stacks; on a recording tape the extra axis is a wrong shape
+        for the op's own check. A stack of another length raises."""
+        if self.recording or param.data.ndim != dims + 1:
+            return False
+        if param.data.shape[0] != self.copies:
+            raise ShapeError(f"{op}: a stack of {param.data.shape[0]} values "
+                             f"{param.data.shape[1:]} on a tape of "
+                             f"{self.copies} copies")
+        return True
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf ``t``.
@@ -220,9 +241,13 @@ class Tape:
 
         Fusing the transpose and bias keeps the tape short; w has shape
         (out_features, in_features). Each of the tape's ``copies`` blocks
-        of rows is its own product.
+        of rows is its own product. On a non-recording tape w may be a
+        (copies, out, in) stack and bias a (copies, out) one: block c then
+        takes w[c] and bias[c].
         """
-        if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        w_stacked = w.data.ndim == 3 and self._stacked(w, 2, "linear")
+        if x.data.ndim != 2 or w.data.ndim != 2 + w_stacked \
+                or x.data.shape[1] != w.data.shape[-1]:
             raise ShapeError(
                 f"linear: input {x.data.shape} and weight {w.data.shape} "
                 "do not share an inner dimension"
@@ -231,15 +256,21 @@ class Tape:
         if rows % self.copies:
             raise ShapeError(f"linear: {rows} rows do not split into "
                              f"{self.copies} copies")
-        out_data = (x.data.reshape(self.copies, -1, inner) @ w.data.T) \
-            .reshape(rows, -1)
+        w_t = w.data.transpose(0, 2, 1) if w_stacked else w.data.T
+        out_data = (x.data.reshape(self.copies, -1, inner) @ w_t).reshape(rows, -1)
         if bias is not None:
-            if bias.data.shape != (w.data.shape[0],):
+            out_features = w.data.shape[-2]
+            bias_stacked = bias.data.ndim == 2 and self._stacked(bias, 1, "linear")
+            if bias.data.shape[bias_stacked:] != (out_features,):
                 raise ShapeError(
                     f"linear: bias {bias.data.shape} does not match "
-                    f"out features {w.data.shape[0]}"
+                    f"out features {out_features}"
                 )
-            out_data += bias.data
+            if bias_stacked:
+                per_copy = out_data.reshape(self.copies, -1, out_features)
+                per_copy += bias.data[:, None]
+            else:
+                out_data += bias.data
         out = Tensor._wrap(out_data)
 
         def pull(g, accum):
@@ -264,19 +295,25 @@ class Tape:
         """Stack row slices ``(a, rows)`` of matrices that share a column
         count. ``rows`` is a slice with step >= 1 that picks at least one
         row inside ``a`` (``slice(None)``: every row); a matrix may recur.
-        The pull adds each part's adjoint rows into one zero buffer per
-        distinct matrix, in part order."""
+        On a non-recording tape ``a`` may be a (copies, r, cols) stack; a
+        part then reads the copy that its output rows fall in, and must
+        not cross into the next. The pull adds each part's adjoint rows
+        into one zero buffer per distinct matrix, in part order."""
         if not parts:
             raise ShapeError("concat needs a non-empty list")
         first = parts[0][0].data.shape
-        cols = first[1] if len(first) == 2 else None
-        sizes = []
+        cols = first[-1] if len(first) == 2 or len(first) == 3 \
+            and self._stacked(parts[0][0], 2, "concat") else None
+        sizes, stacks = [], False
         for a, rows in parts:
             shape = a.data.shape
             if len(shape) != 2 or shape[1] != cols:
-                raise ShapeError(f"concat expects matrices with one column "
-                                 f"count, got {first} and {shape}")
-            n = shape[0]
+                if not (len(shape) == 3 and self._stacked(a, 2, "concat")
+                        and shape[2] == cols):
+                    raise ShapeError(f"concat expects matrices with one column "
+                                     f"count, got {first} and {shape}")
+                stacks = True
+            n = shape[-2]
             start = 0 if rows.start is None else rows.start
             stop = n if rows.stop is None else rows.stop
             step = 1 if rows.step is None else rows.step
@@ -284,7 +321,22 @@ class Tape:
                 raise ContractError(f"concat: rows [{start}:{stop}:{step}] are "
                                     f"empty, reversed or outside [0, {n})")
             sizes.append((stop - start - 1) // step + 1)
-        out = Tensor._wrap(np.concatenate([a.data[rows] for a, rows in parts]))
+        if not stacks:
+            picked = [a.data[rows] for a, rows in parts]
+        else:
+            picked, start, total = [], 0, sum(sizes)
+            for (a, rows), size in zip(parts, sizes):
+                source, end = a.data, start + size
+                if source.ndim == 3:  # the copy that output rows [start, end) fall in
+                    copy = start * self.copies // total
+                    if total % self.copies or end * self.copies > (copy + 1) * total:
+                        raise ShapeError(f"concat: output rows [{start}, {end}) of a "
+                                         f"stacked part leave copy {copy} of "
+                                         f"{self.copies}")
+                    source = source[copy]
+                picked.append(source[rows])
+                start = end
+        out = Tensor._wrap(np.concatenate(picked))
 
         def pull(g, accum):
             sums: dict[int, tuple[Tensor, np.ndarray]] = {}
@@ -302,21 +354,35 @@ class Tape:
 
     def layer_norm(self, x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
         """Normalize the last axis to zero mean / unit population variance
-        (plus ``_LN_EPS``), then apply the affine ``gain * xhat + shift``."""
+        (plus ``_LN_EPS``), then apply the affine ``gain * xhat + shift``.
+        On a non-recording tape ``gain`` and ``shift`` may each be a
+        (copies, d) stack, one row per copy's block of rows of a matrix x."""
         d = x.data.shape[-1]
         if d < 2:
             raise ContractError("layer_norm needs at least 2 features")
-        if gain.data.shape != (d,) or shift.data.shape != (d,):
-            raise ShapeError(
-                f"layer_norm affine shapes {gain.data.shape}/{shift.data.shape} "
-                f"do not match feature dim {d}"
-            )
+        stacked = None
+        if not gain.data.shape == shift.data.shape == (d,):
+            stacked = [self._stacked(p, 1, "layer_norm") for p in (gain, shift)]
+            if any(p.data.shape != ((self.copies, d) if st else (d,))
+                   for p, st in zip((gain, shift), stacked)) \
+                    or x.data.ndim != 2 or x.data.shape[0] % self.copies:
+                raise ShapeError(
+                    f"layer_norm affine shapes {gain.data.shape}/{shift.data.shape} "
+                    f"do not match input {x.data.shape}"
+                )
         # numpy's mean and population var, with the centering done once
         xc = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
         var = np.add.reduce(xc * xc, -1, keepdims=True) / d
         inv = 1.0 / np.sqrt(var + _LN_EPS)
         xhat = xc * inv
-        out = Tensor._wrap(xhat * gain.data + shift.data)
+        if stacked is None:
+            out_data = xhat * gain.data + shift.data
+        else:  # each copy's block of rows under its own affine
+            gain_c, shift_c = (p.data[:, None] if st else p.data
+                               for p, st in zip((gain, shift), stacked))
+            out_data = (xhat.reshape(self.copies, -1, d) * gain_c + shift_c) \
+                .reshape(x.data.shape)
+        out = Tensor._wrap(out_data)
 
         def pull(g, accum):
             gy = g * gain.data

@@ -12,6 +12,7 @@ config file or flag sets one.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -395,9 +396,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _name_max(directory: str) -> int:
+    """The longest file name, in bytes, that ``directory`` takes, or -1
+    where the system states no limit."""
+    try:
+        return os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, or no such limit
+        return -1
+
+
 def check_output_dirs(args) -> None:
     """Every output path given must name a file in an existing directory,
-    so a bad path fails before any work runs."""
+    with a name no longer than that directory takes, so a bad path fails
+    before any work runs. A read-only directory still fails only when the
+    file is written (``output_path``)."""
     for key in ("out", "csv", "checkpoint"):
         path = getattr(args, key, None)
         if not path:
@@ -407,6 +419,9 @@ def check_output_dirs(args) -> None:
             raise ConfigError(f"--{key} {path}: directory {directory} does not exist")
         if os.path.isdir(path):
             raise ConfigError(f"--{key} {path} is a directory")
+        if 0 <= _name_max(directory) < len(os.fsencode(os.path.basename(path))):
+            raise ConfigError(f"--{key} {path}: cannot write: "
+                              f"{os.strerror(errno.ENAMETOOLONG)}")
 
 
 def main(argv=None) -> int:

@@ -559,10 +559,12 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
     row, and only the embed stage is bound to either tensor, so moving
     the row equals relabeling both in the params.
 
-    Each trial draws its image, then its permutation, and embeds both
-    sequences; the later stages then run once per chunk of trials, on a
-    ``Tape`` with one copy per sequence, so every logit has the bits of a
-    forward of its image alone. A chunk holds at most
+    Each trial draws its image, then its permutation. Per chunk of
+    trials, every stage runs once on a ``Tape`` with one copy per
+    sequence, each trial's base sequence followed by its permuted one: the
+    embed stage on the stacked patch rows, then, once each permuted copy's
+    summary and global rows are moved, the later stages. So every logit
+    has the bits of a forward of its image alone. A chunk holds at most
     ``PROBE_STACK_BYTES`` of embedded sequences."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -571,20 +573,20 @@ def permutation_test(config: EncoderConfig, params: EncoderParams, kind: str,
     stages = forward_stages(params)
     layout = params.layout
     n_reg = layout.n_regular
-    notape = Tape(recording=False)
     per_chunk = _per_chunk(2 * 8 * layout.total * config.d)  # 2 float64 sequences
     worst = 0.0
     for done in range(0, trials, per_chunk):
-        seqs = []
+        rows, perms = [], []
         for _ in range(min(per_chunk, trials - done)):
-            image = rng.uniform_array(config.image_shape)
-            perm = sample_permutation(layout, kind, rng)
-            rows = patch_rows([image], config)
-            moved = stages[0].run(Tensor(rows.data[perm[:n_reg]]), notape)
-            moved.data[n_reg:] = moved.data[perm[n_reg:]]
-            seqs += [stages[0].run(rows, notape).data, moved.data]
-        tape = Tape(recording=False, copies=len(seqs))
-        logits = run_stages(stages[1:], Tensor(np.concatenate(seqs)), tape).data
+            patches = patch_rows([rng.uniform_array(config.image_shape)], config).data
+            perms.append(sample_permutation(layout, kind, rng))
+            rows += [patches, patches[perms[-1][:n_reg]]]
+        tape = Tape(recording=False, copies=len(rows))
+        seqs = stages[0].run(Tensor(np.concatenate(rows)), tape)
+        for seq, perm in zip(seqs.data.reshape(len(rows), layout.total, -1)[1::2],
+                             perms):
+            seq[n_reg:] = seq[perm[n_reg:]]
+        logits = run_stages(stages[1:], seqs, tape).data
         # np.maximum, unlike max(), keeps a NaN deviation
         worst = np.maximum(worst, np.abs(logits[0::2] - logits[1::2]).max())
     return float(worst)
@@ -601,13 +603,14 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
     parameter entry, on one random batch.
 
     The forward runs once and keeps each stage's input. The differences
-    then go by chunks of entries: the first stage that reads the perturbed
-    tensor runs once per step, +eps and -eps for each entry, and the later
-    stages and the loss run once per chunk, on a ``Tape`` with one copy
-    per step. The earlier stages do not read the tensor, and each copy
-    has the bits of its own run, so every loss is bit for bit the one
-    ``batch_loss`` gives. A chunk holds at most ``PROBE_STACK_BYTES`` of
-    first-stage outputs.
+    then go by chunks of entries. A chunk's steps, +eps and -eps for each
+    entry, become one stack of the tensor with one entry moved per copy,
+    bound in place of the tensor's data while the first stage that reads
+    the tensor, the later stages and the loss run once, on a ``Tape``
+    with one copy per step of that stage's input. The earlier stages do
+    not read the tensor, and each copy has the bits of its own run, so
+    every loss is bit for bit the one ``batch_loss`` gives. A chunk holds
+    at most ``PROBE_STACK_BYTES`` of outputs of that first stage.
 
     Relative error uses a 1e-6 denominator floor so finite-difference
     noise on near-zero gradients does not register as disagreement. A
@@ -653,22 +656,21 @@ def gradcheck(config: EncoderConfig, eps: float = 1e-5, batch_size: int = 1,
         def losses(steps) -> np.ndarray | None:
             """The loss after each (index, value) step, or None when a step
             makes a stage overflow or the loss not finite."""
-            outs = []
+            copies = len(steps)
+            saved = tensor.data
+            stack = np.repeat(saved[None], copies, axis=0)
+            moved, values = zip(*steps)
+            stack.reshape(copies, -1)[np.arange(copies), moved] = values
+            tape = Tape(recording=False, copies=copies)
+            x = Tensor(np.concatenate([acts[i].data] * copies))
+            tensor.data = stack  # the stages hold the tensor object, not its data
             try:
-                for idx, value in steps:
-                    saved = flat[idx]
-                    flat[idx] = value
-                    try:
-                        outs.append(stages[i].run(acts[i], notape).data)
-                    finally:
-                        flat[idx] = saved
-                stacked = Tape(recording=False, copies=len(outs))
-                logits = run_stages(stages[i + 1:], Tensor(np.concatenate(outs)),
-                                    stacked)
-                loss = stacked.softmax_cross_entropy_rows(logits,
-                                                          labels * len(outs)).data
+                logits = run_stages(stages[i:], x, tape)
+                loss = tape.softmax_cross_entropy_rows(logits, labels * copies).data
             except FloatingPointError:
                 return None
+            finally:
+                tensor.data = saved
             return loss if np.isfinite(loss).all() else None
 
         values = flat[indices]

@@ -328,6 +328,18 @@ def test_train_checkpoint_that_cannot_be_written_exits_2(tmp_path):
         in result.stderr
 
 
+def test_train_checkpoint_name_too_long_exits_2_before_training(tmp_path):
+    # a million epochs would take hours: the name is checked before the first
+    ckpt = tmp_path / ("x" * 300)
+    result = fvit(*train_args(tmp_path, epochs=1000000, csv=tmp_path / "h.csv",
+                              checkpoint=ckpt), timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == \
+        f"error: --checkpoint {ckpt}: cannot write: File name too long\n"
+    assert not (tmp_path / "report.txt").exists()
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_train_assert_min_violation_exits_3(tmp_path):
     result = fvit(*train_args(tmp_path), "--assert-min", "0.99")
     assert result.returncode == 3

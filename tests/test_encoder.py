@@ -459,6 +459,81 @@ def test_a_copies_tape_gives_each_copy_the_bits_of_its_own_run(
         assert losses.reshape(-1)[c].tobytes() == own_loss.tobytes()
 
 
+STACK_SCHEME_POLICIES = [(scheme, policy)
+                         for scheme in ("none", "sincos2d", "alibi2d", "learned")
+                         for policy in ("summary", "register")
+                         if (scheme, policy) != ("none", "summary")]
+
+
+@settings(max_examples=20, deadline=None)
+@given(scheme_policy=st.sampled_from(STACK_SCHEME_POLICIES),
+       mask=st.sampled_from(["fractal", "full"]), layers=st.integers(1, 3),
+       copies=st.integers(2, 6), batch=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 16))
+def test_a_stacked_parameter_gives_each_copy_the_bits_of_its_own_tensor(
+        scheme_policy, mask, layers, copies, batch, seed):
+    # every trainable tensor in turn: a (copies, *shape) stack with one
+    # entry moved per copy, through every stage on a copies tape
+    scheme, policy = scheme_policy
+    config = tiny_config(d=8, n_layers=layers, n_classes=4, patch_size=2,
+                         scheme=scheme, policy=policy, mask=mask)
+    params = init_params(config)
+    randomize_params(params, Rng(seed))
+    rng = np.random.default_rng(seed)
+    images = [rng.random(config.image_shape) for _ in range(batch)]
+    repeated = Tensor(np.concatenate([patch_rows(images, config).data] * copies))
+    stages = forward_stages(params)
+    for name, tensor, _ in params.trainable_items():
+        saved = tensor.data
+        stack = np.repeat(saved[None], copies, axis=0)
+        stack.reshape(copies, -1)[np.arange(copies),
+                                  rng.integers(0, saved.size, copies)] += 0.5
+        try:
+            tensor.data = stack
+            logits = run_stages(stages, repeated,
+                                Tape(recording=False, copies=copies)).data
+            for c in range(copies):
+                tensor.data = stack[c]
+                own = forward_batch(images, config, params).data
+                assert logits[c * batch:(c + 1) * batch].tobytes() == \
+                    own.tobytes(), (name, c)
+        finally:
+            tensor.data = saved
+
+
+def test_a_stack_needs_one_entry_per_copy_on_a_non_recording_tape():
+    x = Tensor(np.ones((4, 3)))
+    w, gain, shift = (Tensor(np.ones(shape)) for shape in ((5, 3), (3,), (3,)))
+
+    def stack(n, a):
+        return Tensor(np.repeat(a.data[None], n, axis=0))
+
+    tape = Tape(recording=False, copies=2)
+    for run in (lambda: tape.linear(x, stack(3, w)),
+                lambda: tape.linear(x, w, stack(1, Tensor(np.ones(5)))),
+                lambda: tape.layer_norm(x, stack(3, gain), shift),
+                lambda: tape.layer_norm(x, gain, stack(1, shift)),
+                lambda: tape.concat([(x, slice(None)), (stack(3, x), slice(0, 1))])):
+        with pytest.raises(ShapeError, match="on a tape of 2 copies"):
+            run()
+    with pytest.raises(ShapeError, match="do not match input"):
+        tape.layer_norm(Tensor(np.ones((2, 2, 3))), stack(2, gain), shift)
+    with pytest.raises(ShapeError, match="does not match out features 5"):
+        tape.linear(x, w, stack(2, Tensor(np.ones(4))))
+    # a stacked part must fall inside one copy's output rows
+    with pytest.raises(ShapeError, match=r"rows \[0, 3\) of a stacked part"):
+        tape.concat([(stack(2, Tensor(np.ones((3, 3)))), slice(None)),
+                     (x, slice(0, 1))])
+    # a recording tape takes no stack, not even one of a single copy
+    recording = Tape()
+    for run in (lambda: recording.linear(x, stack(1, w)),
+                lambda: recording.linear(x, w, stack(1, Tensor(np.ones(5)))),
+                lambda: recording.layer_norm(x, stack(1, gain), shift),
+                lambda: recording.concat([(stack(1, x), slice(None))])):
+        with pytest.raises(ShapeError):
+            run()
+
+
 def test_copies_need_a_non_recording_tape_and_rows_that_split():
     for recording, copies in ((True, 2), (False, 0), (True, 0)):
         with pytest.raises(ContractError, match=f"copies={copies} needs"):
