@@ -4,9 +4,9 @@ Subcommands: mask, layout, posenc, train, gradcheck, permtest. Every
 command is deterministic given its inputs and seed, and writes output
 files byte-identically across repeated runs.
 
-Exit codes: 0 success, 1 internal error, 2 configuration error,
-3 assertion flag violated. FVIT_SEED overrides the default seed when no
-config file or flag sets one.
+Exit codes: 0 success, 1 internal error, 2 configuration error (a grid
+too large for memory among them), 3 assertion flag violated. FVIT_SEED
+overrides the default seed when no config file or flag sets one.
 """
 
 from __future__ import annotations
@@ -435,6 +435,13 @@ def main(argv=None) -> int:
     except AssertionFlagError as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # the size of every table and tensor grows with the grid
+        grid = resolve_run_config(args)["grid"]
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {args.command}: grid {grid} does not fit in "
+              f"memory{detail}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

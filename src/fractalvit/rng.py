@@ -4,7 +4,8 @@ Both algorithms are fixed here (rather than delegating to ``random`` or
 numpy generators) so that a given seed produces the same stream on every
 platform and interpreter version.
 
-The array draws step many lanes of the same stream at once in numpy
+The array draws step many lanes of the same stream at once in numpy,
+each lane started by a jump ahead through cached 4-bit lookup tables
 (see "lane-parallel draws" below). They return the same bits, and leave
 the same state, as a loop over ``next_u64()`` words in Python: for the
 uniforms, ``(word >> 11) * 2^-53`` per element, a float64 in [0, 1)
@@ -180,9 +181,16 @@ class Rng:
 # Generators", ACM TOMS 2021). So T^j is a 256x256 bit matrix, and a draw
 # of ``count`` values can run as L lanes of m steps each, lane j starting
 # at stream offset j*m. With m a power of two, the lane starts follow by
-# doubling from the tables T^(2^k). Stepping the lanes together and
+# doubling from the jumps T^(2^k). Stepping the lanes together and
 # reading them lane after lane gives the scalar stream, and the last
 # lane's state after its last value is the scalar state after the draw.
+#
+# Each jump is cached as a "Four Russians" table: for each of the 64
+# nibbles of the state, the images of its 16 values. A state's image is
+# then the XOR of 64 table rows, one gather and one reduction for all
+# lanes at once (``_apply``). The tables take 32 KB each; 8-bit tables
+# jump faster but take 256 KB each, which shows in the peak memory of a
+# probe run.
 
 LANES_FROM = 512  # draws of fewer words step the scalar generator
 
@@ -193,23 +201,24 @@ def _unit(u: np.ndarray) -> np.ndarray:
     return (u >> 11).astype(np.float64) * (2.0 ** -53)
 
 
-def _bits(states: np.ndarray) -> np.ndarray:
-    """(L, 4) uint64 states -> (L, 256) 0/1, bit b of word w at 64*w + b."""
-    return np.unpackbits(
-        states.astype("<u8").view(np.uint8), axis=-1, bitorder="little"
-    )
+# bit shifts of the 16 nibbles of a word, and each nibble's first row in
+# a jump table seen as (64 * 16, 4)
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+_NIBBLE_ROWS = 16 * np.arange(64, dtype=np.intp)[:, None]
+_NIBBLE_MASK = np.uint64(15)
 
 
 def _apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Apply a GF(2)-linear map, given as the images of the 256 basis
-    states, to each row of ``states``.
+    """Apply a GF(2)-linear map, given as a jump table (``_jump_table``),
+    to each row of the (L, 4) uint64 ``states``.
 
-    The bit products are summed as float32, which is exact: no sum
-    exceeds 256.
+    Each state's image is the XOR of one table row per nibble: 64
+    lookups, reduced in one ``bitwise_xor``.
     """
-    counts = _bits(states).astype(np.float32) @ _bits(table).astype(np.float32)
-    odd = (counts.astype(np.int32) & 1).astype(np.uint8)
-    return np.packbits(odd, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
+    nibbles = (states.T[:, None, :] >> _NIBBLE_SHIFTS) & _NIBBLE_MASK
+    rows = nibbles.view(np.intp).reshape(64, len(states)) + _NIBBLE_ROWS
+    return np.bitwise_xor.reduce(np.take(table.reshape(1024, 4), rows, axis=0),
+                                 axis=0)
 
 
 def _step_lanes(lanes: np.ndarray, steps: int) -> np.ndarray:
@@ -245,19 +254,29 @@ def _scramble(words: np.ndarray) -> np.ndarray:
     return words
 
 
+# _NIBBLE_BITS[v, i]: whether nibble value v has bit i set
+_NIBBLE_BITS = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(bool)
+
+
 @functools.cache
 def _jump_table(k: int) -> np.ndarray:
-    """T^(2^k) as a read-only (256, 4) uint64 array whose row b is the
-    image of the state with only bit b set; 8 KB each."""
+    """T^(2^k) as a read-only (64, 16, 4) uint64 array: entry [p, v] is
+    the image of the state whose only set bits are the value v in nibble
+    p (bits 4p to 4p + 3, bit b of word w at 64*w + b); 32 KB each."""
     if k > 0:
-        table = _apply(_jump_table(k - 1), _jump_table(k - 1))
+        previous = _jump_table(k - 1)
+        # the images of the 256 one-bit states, bit b at row b
+        basis = _apply(previous, previous[:, [1, 2, 4, 8]].reshape(256, 4))
     else:
-        table = np.zeros((4, 256), dtype=np.uint64)
+        basis = np.zeros((4, 256), dtype=np.uint64)
         powers = np.uint64(1) << np.arange(64, dtype=np.uint64)
         for w in range(4):
-            table[w, 64 * w:64 * (w + 1)] = powers
-        _step_lanes(table, 1)
-        table = table.T.copy()
+            basis[w, 64 * w:64 * (w + 1)] = powers
+        _step_lanes(basis, 1)
+        basis = basis.T
+    chosen = np.where(_NIBBLE_BITS[None, :, :, None],
+                      basis.reshape(64, 1, 4, 4), np.uint64(0))
+    table = np.bitwise_xor.reduce(chosen, axis=2)
     table.flags.writeable = False
     return table
 
@@ -265,11 +284,12 @@ def _jump_table(k: int) -> np.ndarray:
 def _lane_draw(state: list[int], count: int) -> tuple[np.ndarray, list[int]]:
     """The next ``count`` outputs from ``state``, and the state after them.
 
-    Lanes run m = 2^a steps, m between 0.35 and 0.71 times sqrt(count).
-    That balances the numpy calls of each step against the lane starts
-    (one 256x256 bit product per lane).
+    Lanes run m = 2^a steps, m between 0.18 and 0.35 times sqrt(count)
+    from 32 words on. That balances the numpy calls of each step against
+    the lane starts, one table jump (``_apply``) per doubling of the
+    lanes.
     """
-    a = max(0, count.bit_length() // 2 - 1)
+    a = max(0, count.bit_length() // 2 - 2)
     m = 1 << a
     n_lanes = -(-count // m)
     starts = np.array([state], dtype=np.uint64)

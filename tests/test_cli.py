@@ -591,3 +591,45 @@ def test_largest_seeds_run(tmp_path):
     result = fvit(*train_args(tmp_path, seed=top, data_seed=top))
     assert result.returncode == 0, result.stderr
     assert f"seed = {top}" in (tmp_path / "report.txt").read_text()
+
+
+# ----------------------------------------------------------------------
+# configurations too large for memory
+# ----------------------------------------------------------------------
+
+def _out_of_memory(message=""):
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+    return fail
+
+
+@pytest.mark.parametrize("command,target,message", [
+    # [None] * total in grid.build_layout raises a MemoryError without text
+    ("layout", "build_layout", ""),
+    ("mask", "build_layout", ""),
+    # numpy names the allocation that failed
+    ("train", "cmd_train", "Unable to allocate 3.49 TiB"),
+])
+def test_memory_error_exits_2_and_names_the_grid(tmp_path, monkeypatch, capsys,
+                                                 command, target, message):
+    # the commands are stubbed to fail: a real allocation of this size can
+    # hang or be killed on a machine that overcommits memory
+    monkeypatch.setattr(cli, target, _out_of_memory(message))
+    args = [command, "--grid", "99999x99999"]
+    if command != "train":
+        args += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(args) == 2
+    detail = f" ({message})" if message else ""
+    assert capsys.readouterr().err == \
+        f"error: {command}: grid 99999x99999 does not fit in memory{detail}\n"
+
+
+def test_memory_error_names_the_grid_of_the_config_file(tmp_path, monkeypatch,
+                                                         capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("grid = 5000x7000\n")
+    monkeypatch.setattr(cli, "build_layout", _out_of_memory())
+    args = ["layout", "--config", str(config), "--out", str(tmp_path / "x")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == \
+        "error: layout: grid 5000x7000 does not fit in memory\n"

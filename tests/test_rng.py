@@ -319,9 +319,17 @@ def test_scalar_and_array_calls_interleave():
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+# the lane length doubles at 2^(2j - 1) words from 32 on
+LANE_LENGTH_CHANGES = (32, 128, 512, 2048, 8192, 32768)
+# word counts of single draws that the symmetry probes make
+WORKLOAD_COUNTS = (768, 2304, 52224, 54944)
+
+
 def test_lane_draw_matches_next_u64():
+    around_changes = tuple(c + d for c in LANE_LENGTH_CHANGES for d in (-1, 0))
     for seed in SEEDS:
-        for count in (1, 2, 5, 63, 64, 65, 1023, 1024, 1025, 9000):
+        for count in (1, 2, 5, 63, 64, 65, 1023, 1024, 1025, 9000) \
+                + WORKLOAD_COUNTS + around_changes:
             r = Rng(seed)
             words, end = _lane_draw(list(r._s), count)
             assert words.tolist() == [r.next_u64() for _ in range(count)]
@@ -339,6 +347,47 @@ def test_jump_tables_are_powers_of_the_step():
         assert _apply(_jump_table(k), start).tolist() == [r._s]
         start = np.array([r._s], dtype=np.uint64)
         stepped = 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    states=st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=2 ** 64 - 1)] * 4),
+        min_size=1, max_size=5,
+    ),
+    k=st.integers(min_value=0, max_value=8),
+)
+def test_jump_equals_stepping_property(states, k):
+    # the reference steps each state 2^k times with next_u64, whatever
+    # form the jump tables take
+    jumped = _apply(_jump_table(k), np.array(states, dtype=np.uint64))
+    for state, image in zip(states, jumped.tolist(), strict=True):
+        stepped, after_jump = Rng(0), Rng(0)
+        stepped._s = list(state)
+        for _ in range(2 ** k):
+            stepped.next_u64()
+        after_jump._s = image
+        assert image == stepped._s
+        assert after_jump.next_u64() == stepped.next_u64()
+
+
+def test_jump_tables_touched_by_a_large_draw_stay_small():
+    """Every jump table a 2^21-word draw builds takes at most 32 KB.
+
+    Tables indexed by bytes instead of nibbles jump faster, but take
+    256 KB each; they raised the benchmark's ``probe-4x4`` peak_rss_mb
+    by 3.5 MB (62.2 to 65.7 MB)."""
+    touched = []
+
+    def record(k):
+        touched.append(k)
+        return _jump_table(k)
+
+    with mock.patch.object(rng_module, "_jump_table", record):
+        _lane_draw(Rng(4)._s, 2 ** 21)
+    assert touched
+    for k in set(touched):
+        assert _jump_table(k).nbytes <= 32 * 1024, k
 
 
 @settings(max_examples=30, deadline=None)
